@@ -7,6 +7,8 @@ table. Every size is timed over several distinct random alignments; see the
 scaling test for why repeating a single input misleads.
 
 Usage: python benchmarks/compare_numba.py [--rows M] [--sizes n1,n2,...]
+
+Needs numba (the ``jit`` extra); without it the script says so and exits 1.
 """
 
 import argparse
@@ -86,8 +88,14 @@ def main() -> int:
             sys.stderr.write(out.stderr)
             return 1
         reports[mode] = json.loads(out.stdout)
-
-    assert reports["numba"]["numba"] and not reports["numpy"]["numba"]
+        if mode == "numba" and not reports[mode]["numba"]:
+            print(
+                "compare_numba.py compares the numba JIT with the plain-Python kernels, "
+                "but numba did not import. Install the jit extra: "
+                "pip install -e '.[jit]' --no-build-isolation",
+                file=sys.stderr,
+            )
+            return 1
     print(f"m={args.rows}, median of {args.runs} runs, {VARIANTS} alignments per size\n")
     print(f"{'n':>8} {'stage':>6} {'numba':>12} {'numpy':>12} {'speedup':>9}")
     for n in args.sizes:

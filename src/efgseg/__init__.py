@@ -1,9 +1,9 @@
 """Semi-repeat-free MSA segmentation and indexable elastic founder graphs.
 
 Pipeline: parse an aligned FASTA, compute the minimal semi-repeat-free
-right extension of every prefix in linear time, run a linear segmentation
-DP (maximize block count or minimize maximum block length), and build,
-validate, and export the induced elastic founder graph.
+right extension of every prefix from an enhanced suffix array, run a linear
+segmentation DP (maximize block count or minimize maximum block length),
+and build, validate, and export the induced elastic founder graph.
 """
 
 from ._accel import NUMBA_ENABLED

@@ -18,13 +18,14 @@ import numpy as np
 
 from ._accel import njit
 from .extensions import ExtensionTable
+from .msa import DP_LIMIT
 
 MAXBLOCKS = "maxblocks"
 MINMAXLEN = "minmaxlen"
 
 # scores and witnesses fit int32 (values bounded by n + 1); the smaller
 # randomly-indexed arrays stay cache-resident at large n
-_INF32 = np.int32(1) << 28
+_INF32 = np.int32(DP_LIMIT)
 
 INF = int(_INF32)
 NEG_INF = -INF

@@ -146,6 +146,14 @@ def _path_name(name: str) -> str:
 
 
 def export_gfa(efg: Efg) -> str:
+    """GFA 1 text; rows whose headers share a first token are rejected,
+    because their paths would share one name."""
+    seen: dict[str, int] = {}
+    for row, (name, _) in enumerate(efg.paths, start=1):
+        token = _path_name(name)
+        if token in seen:
+            raise EfgError(f"rows {seen[token]} and {row} share the GFA path name {token!r}")
+        seen[token] = row
     lines = ["H\tVN:Z:1.0"]
     for block in efg.blocks:
         for nd in block:

@@ -1,12 +1,19 @@
 """Minimal semi-repeat-free right extensions f(x) for every prefix boundary.
 
-One sweep over the columns maintains, per row, the suffix-tree leaf of the
-gaps-removed row suffix that starts just past the current boundary. Each
-column marks those leaves, extracts the exclusive ancestors of their
-contiguous runs, and converts each ancestor's branch depth into the column
-where the row's shortest distinguishing extension ends. Advancing a row's
-leaf to the next suffix is a (row, offset+1) lookup and happens only when
-the crossed column is a non-gap. Total work is O(m) per column.
+At column x, row i's gaps-removed suffix that starts just past the boundary
+is a leaf of the generalized suffix tree: ``isa[row_starts[i] + rank2d[i, x]]``.
+The m leaves of a column split into runs of consecutive leaf ranks. For leaf
+q in run [lb..rb], the exclusive ancestor that covers q hangs below a node of
+string depth D = max(min lcp[lb..q], min lcp[q+1..rb+1]) (lcp[N] = 0), so
+row i's segment must spell g = D + 1 symbols to be unique, and its extension
+ends at the column of its (rank2d[i, x] + g)-th non-gap. This is the
+exclusive-ancestor query of the paper answered on the enhanced suffix array
+(Abouelhoda, Kurtz & Ohlebusch 2004) instead of on a materialised tree.
+
+The sweep runs over chunks of columns with whole-array numpy: one sort per
+column, then segmented prefix and suffix minima over all runs of the chunk
+at once. Chunks hold at most about ``SWEEP_CHUNK_CELLS`` cells, so the
+temporaries stay bounded whatever the alignment size.
 """
 
 from __future__ import annotations
@@ -16,64 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import njit
-from .ancestors import _ascend_run
 from .gst import Gst
 from .msa import GapIndex, Msa, MsaError
 
+SWEEP_CHUNK_CELLS = 1 << 14
 
-@njit(cache=True)
-def _extensions_kernel(
-    parent, depth, lml, rml, leaf_nodes, leaf_row, isa, row_starts,
-    rank2d, sel2d, spell_lens, is_gap, n, m, n_leaves,
-):
-    f = np.zeros(n, np.int64)
-    fi = np.zeros(m, np.int64)
-    cur_leaf = np.empty(m, np.int64)
-    cur_off = np.ones(m, np.int64)
-    for i in range(m):
-        cur_leaf[i] = isa[row_starts[i]]
-    marked = np.zeros(n_leaves, np.bool_)
-    anc_node = np.empty(m, np.int64)
-    anc_lo = np.empty(m, np.int64)
-    anc_hi = np.empty(m, np.int64)
-    ops = 0
-    for x in range(n):
-        for i in range(m):
-            marked[cur_leaf[i]] = True
-        for i in range(m):
-            lb = cur_leaf[i]
-            ops += 1
-            if lb > 0 and marked[lb - 1]:
-                continue  # interior of a run; handled from its left boundary
-            rb = lb
-            while rb + 1 < n_leaves and marked[rb + 1]:
-                rb += 1
-                ops += 1
-            count, o = _ascend_run(
-                parent, lml, rml, leaf_nodes, lb, rb, anc_node, anc_lo, anc_hi
-            )
-            ops += o
-            for t in range(count):
-                g = depth[parent[anc_node[t]]] + 1
-                for q in range(anc_lo[t], anc_hi[t] + 1):
-                    r = leaf_row[q]
-                    k = rank2d[r, x] + g
-                    if k <= spell_lens[r]:
-                        fi[r] = sel2d[r, k]
-                    else:
-                        fi[r] = n + 1
-                    ops += 1
-        fx = 0
-        for i in range(m):
-            if fi[i] > fx:
-                fx = fi[i]
-        f[x] = fx
-        for i in range(m):
-            marked[cur_leaf[i]] = False
-            if not is_gap[i, x]:
-                cur_off[i] += 1
-                cur_leaf[i] = isa[row_starts[i] + cur_off[i] - 1]
-    return f, fi, ops
+
+def _segmented_min(values: np.ndarray, run: np.ndarray, big: int, reverse: bool) -> np.ndarray:
+    """Running minimum of values restarted at every new run id.
+
+    ``run`` is non-decreasing and every value lies in [0..big). Shifting each
+    run by run * big keeps earlier runs (later ones, when reverse) above all
+    values of the current run, so one plain accumulate never crosses a run.
+    """
+    off = run * big
+    if reverse:
+        return np.minimum.accumulate((values + off)[::-1])[::-1] - off
+    return np.minimum.accumulate(values - off) + off
 
 
 @njit(cache=True)
@@ -99,7 +65,13 @@ def _sort_pairs_by_f(f, n):
 
 @dataclass
 class ExtensionTable:
-    """f(x) for x in [0..n-1]; value n+1 means no extension ends by column n."""
+    """f(x) for x in [0..n-1]; value n+1 means no extension ends by column n.
+
+    ``op_count`` counts the elements the sweep touches: per column, m
+    elements for each of the ceil(log2 m) passes of the leaf sort (at least
+    one), and m each for the run split, the prefix-minimum scan and the
+    suffix-minimum scan. That is n * m * (max(1, ceil(log2 m)) + 3).
+    """
 
     f: np.ndarray
     n: int
@@ -119,10 +91,34 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
     segment, or n+1 when no such y <= n exists."""
     if (gi.m, gi.n) != (msa.m, msa.n) or (gst.msa.m, gst.msa.n) != (msa.m, msa.n):
         raise MsaError("gap index / suffix tree were built from a different alignment")
-    f, fi, ops = _extensions_kernel(
-        gst.parent, gst.string_depth, gst.lml, gst.rml, gst.leaf_nodes,
-        gst.leaf_row, gst.isa, gst.row_starts,
-        gi.rank2d, gi.sel2d, gi.spell_lens, gi.is_gap,
-        msa.n, msa.m, gst.n_leaves,
-    )
-    return ExtensionTable(f=f, n=msa.n, op_count=int(ops), last_row_extensions=fi)
+    m, n = msa.m, msa.n
+    lcp = np.append(gst.lcp, 0)  # lcp[N] = 0 closes a run that ends at the last leaf
+    big = int(lcp.max()) + 1
+    max_k = gi.sel2d.shape[1] - 1
+    sort_passes = max(1, (m - 1).bit_length())
+    f = np.empty(n, np.int64)
+    last = np.empty(m, np.int64)
+    width = max(1, SWEEP_CHUNK_CELLS // m)
+    ops = 0
+    for x0 in range(0, n, width):
+        cols = np.arange(x0, min(n, x0 + width))
+        # (columns, m): each column's m leaves, ascending, and their rows
+        leaves = gst.isa[gst.row_starts + gi.rank2d[:, cols].T]
+        rows = np.argsort(leaves, axis=1)
+        leaves = np.take_along_axis(leaves, rows, axis=1)
+        flat = leaves.ravel()
+        new_run = np.empty(flat.size, np.bool_)
+        new_run[0] = True
+        np.not_equal(flat[1:], flat[:-1] + 1, out=new_run[1:])
+        new_run[::m] = True  # runs never span two columns
+        run = np.cumsum(new_run)
+        left = _segmented_min(lcp[flat], run, big, reverse=False)
+        right = _segmented_min(lcp[flat + 1], run, big, reverse=True)
+        k = gi.rank2d[rows, cols[:, None]] + (np.maximum(left, right) + 1).reshape(rows.shape)
+        fi = np.where(
+            k <= gi.spell_lens[rows], gi.sel2d[rows, np.minimum(k, max_k)], n + 1
+        )
+        f[cols] = fi.max(axis=1)
+        last[rows[-1]] = fi[-1]
+        ops += flat.size * (sort_passes + 3)
+    return ExtensionTable(f=f, n=n, op_count=ops, last_row_extensions=last)

@@ -2,18 +2,22 @@
 
 Each row contributes its gaps-removed string followed by a distinct
 terminator; terminators sort below every sequence symbol and in row order,
-so leaf order is deterministic. The tree is materialized from the suffix
-array and LCP array of the row concatenation as flat parent / string-depth
-/ leaf-interval arrays (leaves are node ids 0..N-1 in lexicographic order,
-internal nodes follow).
+so leaf order is deterministic. The structure is an enhanced suffix array
+(suffix array, inverse and LCP array of the row concatenation; Abouelhoda,
+Kurtz & Ohlebusch 2004). The column sweep runs on it directly. The tree as
+flat parent / string-depth / leaf-interval arrays (leaves are node ids
+0..N-1 in lexicographic order, internal nodes follow) is built from the LCP
+array only when something asks for it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ._accel import njit
-from .msa import GAP, Msa, MsaError
+from .msa import GAP, Msa, MsaError, check_size_limits
 from .sais import lcp_array, suffix_array
 
 
@@ -72,63 +76,106 @@ def _lcp_interval_tree(lcp, n_leaves):
 
 
 class Gst:
-    """Suffix-tree navigation over flat arrays.
+    """Enhanced suffix array of the gaps-removed rows, with a lazy tree view.
 
-    Node ids: leaves are 0..n_leaves-1 in lexicographic suffix order,
-    internal nodes (including the root) follow. Leaf origins are
-    (row, offset) with offset the 1-based position in the gaps-removed row
-    plus terminator; leaf suffix links reduce to ``leaf_for(i, p + 1)``.
+    The sweep needs only ``isa``, ``lcp`` and ``row_starts``.
+    Everything else is built on first access: the leaf origins
+    ``leaf_row`` and ``leaf_off``, and the tree view from the LCP array.
+    Node ids of the tree view: leaves are 0..n_leaves-1 in lexicographic
+    suffix order, internal nodes (including the root) follow, with
+    ``parent``, ``string_depth``, ``lml``, ``rml``, ``root`` and
+    ``n_nodes``. Leaf origins are (row, offset) with offset the 1-based
+    position in the gaps-removed row plus terminator; leaf suffix links
+    reduce to ``leaf_for(i, p + 1)``.
     """
 
     def __init__(self, msa: Msa):
         m = msa.m
-        spells = [row.replace(GAP, "") for row in msa.rows]
-        sigma = sorted(set("".join(spells)))
+        cells = np.frombuffer("".join(msa.rows).encode("ascii"), np.uint8).reshape(m, msa.n)
+        nongap = cells != ord(GAP)
+        spell_lens = np.count_nonzero(nongap, axis=1)
+        check_size_limits(msa.n, int(spell_lens.sum()) + m)
+        sigma = sorted(msa.alphabet)
         # codes: 0 reserved, terminators 1..m (row order), symbols after
         self.sym_code = {c: m + 1 + idx for idx, c in enumerate(sigma)}
         alphabet_size = m + 1 + len(sigma)
+        code_of = np.zeros(256, np.int32)
+        for c, code in self.sym_code.items():
+            code_of[ord(c)] = code
 
-        pieces = []
+        row_alpha_lens = spell_lens.astype(np.int64) + 1
         row_starts = np.zeros(m, np.int64)
-        pos = 0
-        for i, sp in enumerate(spells):
-            row_starts[i] = pos
-            arr = np.empty(len(sp) + 1, np.int64)
-            for j, c in enumerate(sp):
-                arr[j] = self.sym_code[c]
-            arr[-1] = i + 1  # terminator of row i+1
-            pieces.append(arr)
-            pos += len(arr)
-        text = np.concatenate(pieces)
+        np.cumsum(row_alpha_lens[:-1], out=row_starts[1:])
+        terminators = row_starts + row_alpha_lens - 1
+        text = np.empty(int(row_alpha_lens.sum()), np.int32)
+        is_symbol = np.ones(len(text), np.bool_)
+        is_symbol[terminators] = False
+        text[is_symbol] = code_of[cells[nongap]]
+        text[terminators] = np.arange(1, m + 1)  # terminator of row i+1
+        del cells, nongap, is_symbol
 
         sa = suffix_array(text, alphabet_size)
         lcp, isa = lcp_array(text, sa)
-        parent, depth, lml, rml, root = _lcp_interval_tree(lcp, len(sa))
 
         self.msa = msa
         self.text = text
         self.sa = sa
         self.isa = isa
+        self.lcp = lcp
         self.row_starts = row_starts
-        self.row_alpha_lens = np.array([len(sp) + 1 for sp in spells], np.int64)
-        self.parent = parent
-        self.string_depth = depth
-        self.lml = lml
-        self.rml = rml
-        self.root = root
+        self.row_alpha_lens = row_alpha_lens
         self.n_leaves = len(sa)
-        self.n_nodes = len(parent)
 
-        # leaf rank -> (0-based row, 1-based offset within the row string)
-        row_of_pos = np.searchsorted(row_starts, sa, side="right") - 1
-        self.leaf_row = row_of_pos.astype(np.int64)
-        self.leaf_off = sa - row_starts[row_of_pos] + 1
+    # -- lazy leaf origins and tree view -------------------------------------
+
+    @cached_property
+    def leaf_row(self) -> np.ndarray:
+        """0-based row of each leaf rank."""
+        return np.repeat(np.arange(self.msa.m, dtype=np.int32), self.row_alpha_lens)[self.sa]
+
+    @cached_property
+    def leaf_off(self) -> np.ndarray:
+        """1-based offset of each leaf rank within its row string."""
+        return self.sa - self.row_starts[self.leaf_row] + 1
+
+    @cached_property
+    def _tree(self):
+        parent, depth, lml, rml, root = _lcp_interval_tree(self.lcp, self.n_leaves)
         # leaf string depths: suffix length truncated at the row terminator
-        self.string_depth[: self.n_leaves] = (
-            self.row_alpha_lens[self.leaf_row] - self.leaf_off + 1
-        )
-        self.leaf_nodes = np.arange(self.n_leaves, dtype=np.int64)
-        self.marked = np.zeros(self.n_leaves, np.bool_)
+        depth[: self.n_leaves] = self.row_alpha_lens[self.leaf_row] - self.leaf_off + 1
+        return parent, depth, lml, rml, root
+
+    @property
+    def parent(self) -> np.ndarray:
+        return self._tree[0]
+
+    @property
+    def string_depth(self) -> np.ndarray:
+        return self._tree[1]
+
+    @property
+    def lml(self) -> np.ndarray:
+        return self._tree[2]
+
+    @property
+    def rml(self) -> np.ndarray:
+        return self._tree[3]
+
+    @property
+    def root(self) -> int:
+        return self._tree[4]
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self._tree[0])
+
+    @cached_property
+    def leaf_nodes(self) -> np.ndarray:
+        return np.arange(self.n_leaves, dtype=np.int64)
+
+    @cached_property
+    def marked(self) -> np.ndarray:
+        return np.zeros(self.n_leaves, np.bool_)
 
     # -- navigation -------------------------------------------------------
 

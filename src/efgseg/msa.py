@@ -12,11 +12,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sais import RANK_LIMIT
+
 GAP = "-"
+
+# The segmentation DPs keep scores and columns in int32 below this sentinel.
+DP_LIMIT = 1 << 28
 
 
 class MsaError(ValueError):
     """Raised for malformed alignments or out-of-range coordinates."""
+
+
+def check_size_limits(n: int, text_len: int):
+    """Reject sizes that overflow the pipeline's int32 arrays, before any
+    array of that size exists.
+
+    ``n`` is the column count; the DPs need n + 1 < 2^28. ``text_len`` is N,
+    the total length of the gaps-removed rows plus one terminator per row;
+    the suffix array's int32 prefix ranks need N < 2^31.
+    """
+    if n + 1 >= DP_LIMIT:
+        raise MsaError(f"alignment has {n} columns; n + 1 must stay below {DP_LIMIT}")
+    if text_len >= RANK_LIMIT:
+        raise MsaError(
+            f"gaps-removed text has {text_len} symbols; it must stay below {RANK_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -127,18 +148,19 @@ class GapIndex:
 
     def __init__(self, msa: Msa):
         m, n = msa.m, msa.n
+        check_size_limits(n, sum(len(row) - row.count(GAP) for row in msa.rows) + m)
         self.m, self.n = m, n
         nongap = np.zeros((m, n), dtype=np.bool_)
         for i, row in enumerate(msa.rows):
             nongap[i] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) != ord(GAP)
         self.is_gap = ~nongap
         # rank2d[i, x] = number of non-gaps in row i+1, columns [1..x]
-        self.rank2d = np.zeros((m, n + 1), dtype=np.int64)
+        self.rank2d = np.zeros((m, n + 1), dtype=np.int32)
         np.cumsum(nongap, axis=1, out=self.rank2d[:, 1:])
         self.spell_lens = self.rank2d[:, n].copy()
         # sel2d[i, k] = 1-based column of the k-th non-gap of row i+1
         max_len = int(self.spell_lens.max())
-        self.sel2d = np.full((m, max_len + 1), n + 1, dtype=np.int64)
+        self.sel2d = np.full((m, max_len + 1), n + 1, dtype=np.int32)
         for i in range(m):
             cols = np.flatnonzero(nongap[i]) + 1
             self.sel2d[i, 1 : len(cols) + 1] = cols

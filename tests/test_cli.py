@@ -79,6 +79,18 @@ def test_export_default_pipeline(tmp_path, capsys):
     assert dot.startswith("digraph")
 
 
+def test_export_gfa_rejects_duplicate_path_names(tmp_path, capsys):
+    # both headers have the first token "a", which names the GFA path
+    path = write(tmp_path, "dup.fa", ">a x\nACGT\n>a\nACGA\n")
+    code, out, err = run(capsys, "export", path, "--format", "gfa")
+    assert code == 1
+    assert out == ""
+    assert "'a'" in err and "rows 1 and 2" in err
+    code, out, _ = run(capsys, "export", path, "--format", "json")
+    assert code == 0
+    assert [p["name"] for p in json.loads(out)["paths"]] == ["a x", "a"]
+
+
 def test_gen_deterministic_and_parseable(capsys):
     code, out1, _ = run(capsys, "gen", "--seed", "7", "--rows", "3", "--cols", "20")
     assert code == 0

@@ -4,9 +4,76 @@ import numpy as np
 import pytest
 
 import efgseg as E
+from efgseg import extensions as X
 from efgseg import oracle as O
+from efgseg.ancestors import _ascend_run
 from efgseg.msa import Msa, MsaError, spell
 from tests.conftest import build_pipeline
+
+
+def reference_sweep(msa, gi, gst):
+    """The column sweep as loops over the suffix tree (the tree view of gst).
+
+    Per column it marks the m current leaves, climbs from each contiguous
+    marked run to its exclusive ancestors, and reads g off the depth of each
+    ancestor's parent. Returns (f, per-row values of the final column).
+    """
+    m, n = msa.m, msa.n
+    parent, depth, leaf_row = gst.parent, gst.string_depth, gst.leaf_row
+    f = np.zeros(n, np.int64)
+    fi = np.zeros(m, np.int64)
+    cur_leaf = np.array([gst.isa[gst.row_starts[i]] for i in range(m)], np.int64)
+    cur_off = np.ones(m, np.int64)
+    marked = np.zeros(gst.n_leaves, np.bool_)
+    anc_node = np.empty(m, np.int64)
+    anc_lo = np.empty(m, np.int64)
+    anc_hi = np.empty(m, np.int64)
+    for x in range(n):
+        marked[cur_leaf] = True
+        for i in range(m):
+            lb = cur_leaf[i]
+            if lb > 0 and marked[lb - 1]:
+                continue  # interior of a run; handled from its left boundary
+            rb = lb
+            while rb + 1 < gst.n_leaves and marked[rb + 1]:
+                rb += 1
+            count, _ = _ascend_run(
+                parent, gst.lml, gst.rml, gst.leaf_nodes, lb, rb, anc_node, anc_lo, anc_hi
+            )
+            for t in range(count):
+                g = depth[parent[anc_node[t]]] + 1
+                for q in range(anc_lo[t], anc_hi[t] + 1):
+                    r = leaf_row[q]
+                    k = gi.rank2d[r, x] + g
+                    fi[r] = gi.sel2d[r, k] if k <= gi.spell_lens[r] else n + 1
+        f[x] = fi.max()
+        marked[cur_leaf] = False
+        for i in range(m):
+            if not gi.is_gap[i, x]:
+                cur_off[i] += 1
+                cur_leaf[i] = gst.isa[gst.row_starts[i] + cur_off[i] - 1]
+    return f, fi
+
+
+def near_identical_msa(seed, m, n, snp_rate, gap_rate):
+    """Copies of one random row with private substitutions and gaps."""
+    rng = random.Random(seed)
+    base = [rng.choice("ACGT") for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        row = [rng.choice("ACGT") if rng.random() < snp_rate else c for c in base]
+        row = ["-" if rng.random() < gap_rate else c for c in row]
+        if all(c == "-" for c in row):
+            row[0] = base[0]
+        rows.append("".join(row))
+    return Msa.from_rows(rows)
+
+
+def assert_matches_reference(msa):
+    gi, gst, ext = build_pipeline(msa)
+    f, last = reference_sweep(msa, gi, gst)
+    assert ext.f.tolist() == f.tolist()
+    assert ext.last_row_extensions.tolist() == last.tolist()
 
 
 def test_two_distinct_singletons():
@@ -44,6 +111,58 @@ def test_matches_oracle_random():
         checker = O.SegmentChecker(msa)
         for x in range(msa.n):
             assert ext.f[x] == O.oracle_minimal_right_extension(msa, x, checker), (seed, x)
+
+
+def test_matches_reference_sweep_random():
+    # sigma 1 gives single-letter rows, high gap rates give gap-heavy rows
+    for seed in range(120):
+        rng = random.Random(seed * 31 + 7)
+        spec = O.RandomMsaSpec(
+            seed=seed + 4000, m=rng.randint(1, 8), n=rng.randint(1, 40),
+            sigma=rng.choice([1, 2, 4]), gap_prob=rng.choice([0.0, 0.2, 0.5]),
+        )
+        assert_matches_reference(O.generate_msa(spec))
+
+
+def test_matches_reference_sweep_near_identical():
+    for seed in range(40):
+        rng = random.Random(seed)
+        msa = near_identical_msa(
+            seed, rng.randint(2, 10), rng.randint(1, 60),
+            snp_rate=rng.choice([0.0, 0.02, 0.1]), gap_rate=rng.choice([0.0, 0.05, 0.3]),
+        )
+        assert_matches_reference(msa)
+
+
+def test_matches_reference_sweep_single_column():
+    for rows in (["A"], ["A", "A"], ["A", "C", "A"], ["G", "G", "T", "G"]):
+        assert_matches_reference(Msa.from_rows(rows))
+
+
+def test_matches_reference_sweep_across_chunks(monkeypatch):
+    # chunk widths of 1, 2, 3 and 7 columns with n on both sides of a multiple
+    for cells in (1, 5, 11, 28):
+        monkeypatch.setattr(X, "SWEEP_CHUNK_CELLS", cells)
+        for m in (1, 4):
+            width = max(1, cells // m)
+            for n in (width - 1, width, width + 1, 3 * width - 1, 3 * width + 1):
+                if n >= 1:
+                    spec = O.RandomMsaSpec(seed=cells * 100 + m * 10 + n, m=m, n=n, sigma=2)
+                    assert_matches_reference(O.generate_msa(spec))
+
+
+def test_matches_reference_sweep_default_chunk_boundary():
+    m = 16
+    width = X.SWEEP_CHUNK_CELLS // m
+    for n in (width - 1, width + 1):
+        msa = near_identical_msa(n, m, n, snp_rate=0.01, gap_rate=0.01)
+        assert_matches_reference(msa)
+
+
+def test_matches_reference_sweep_large():
+    # 16 x 2000 is too large for the oracle; the loop reference still runs
+    assert_matches_reference(O.generate_msa(O.RandomMsaSpec(seed=2000, m=16, n=2000)))
+    assert_matches_reference(near_identical_msa(2001, 16, 2000, snp_rate=0.005, gap_rate=0.01))
 
 
 def test_monotone_extension_property():

@@ -2,8 +2,21 @@ import random
 
 import pytest
 
+from efgseg import msa as msa_module
 from efgseg import oracle as O
-from efgseg.msa import GAP, GapIndex, Msa, MsaError, parse_aligned_fasta, spell, to_fasta
+from efgseg.gst import build_gst
+from efgseg.msa import (
+    DP_LIMIT,
+    GAP,
+    RANK_LIMIT,
+    GapIndex,
+    Msa,
+    MsaError,
+    check_size_limits,
+    parse_aligned_fasta,
+    spell,
+    to_fasta,
+)
 
 
 def test_parse_basic():
@@ -152,3 +165,34 @@ def test_spell_concatenation_random():
 def test_generated_roundtrip():
     msa = O.generate_msa(O.RandomMsaSpec(seed=3, m=4, n=15))
     assert parse_aligned_fasta(to_fasta(msa)) == msa
+
+
+def test_size_limits():
+    # called with sizes only: no alignment of that size is ever allocated
+    check_size_limits(DP_LIMIT - 2, RANK_LIMIT - 1)  # the largest accepted sizes
+    with pytest.raises(MsaError, match="columns"):
+        check_size_limits(DP_LIMIT - 1, 100)
+    with pytest.raises(MsaError, match="gaps-removed"):
+        check_size_limits(100, RANK_LIMIT)
+
+
+def test_size_limits_checked_by_pipeline(monkeypatch, tmp_path, capsys):
+    from efgseg import cli
+
+    path = tmp_path / "e.fa"
+    path.write_text(">r1\nAG-C\n>r2\nA-GC\n")
+    msa = parse_aligned_fasta(path.read_text())
+    # n = 4 columns and N = 8 symbols, each one past a lowered limit
+    monkeypatch.setattr(msa_module, "DP_LIMIT", 5)
+    with pytest.raises(MsaError, match="columns"):
+        GapIndex(msa)
+    with pytest.raises(MsaError, match="columns"):
+        build_gst(msa)
+    assert cli.main(["export", str(path)]) == 1
+    assert "columns" in capsys.readouterr().err
+    monkeypatch.setattr(msa_module, "DP_LIMIT", 6)
+    monkeypatch.setattr(msa_module, "RANK_LIMIT", 8)
+    with pytest.raises(MsaError, match="gaps-removed"):
+        GapIndex(msa)
+    with pytest.raises(MsaError, match="gaps-removed"):
+        build_gst(msa)
