@@ -1,12 +1,14 @@
 """Optional numba acceleration shim.
 
-Hot kernels are decorated with ``@njit``. The JIT is active if and only if
-numba imports and the environment variable ``EFGSEG_NO_NUMBA`` is not truthy
-(``1``, ``true`` or ``yes``, read once at import). Otherwise ``njit`` is the
-identity and the same kernels run as plain Python over numpy arrays. numba
-is an optional dependency (the ``jit`` extra); ``NUMBA_ENABLED`` reports
-which engine runs. Disabling the JIT on purpose is useful for debugging and
-for benchmarking the compiled speedup (see benchmarks/compare_numba.py).
+Two loop kernels off the segmentation and export path carry ``@njit``:
+``ancestors._ascend_run`` (the exclusive-ancestor solver) and
+``gst._lcp_interval_tree`` (the on-demand tree view). The JIT is active if
+and only if numba imports and the environment variable ``EFGSEG_NO_NUMBA``
+is not truthy (``1``, ``true`` or ``yes``, read once at import). Otherwise
+``njit`` is the identity and the same kernels run as plain Python over numpy
+arrays. numba is an optional dependency (the ``jit`` extra);
+``NUMBA_ENABLED`` reports which engine runs. Disabling the JIT on purpose is
+useful for debugging.
 """
 
 import os

@@ -16,72 +16,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import njit
 from .extensions import ExtensionTable
 from .msa import DP_LIMIT
 
 MAXBLOCKS = "maxblocks"
 MINMAXLEN = "minmaxlen"
 
-# scores and witnesses fit int32 (values bounded by n + 1); the smaller
-# randomly-indexed arrays stay cache-resident at large n
-_INF32 = np.int32(DP_LIMIT)
-
-INF = int(_INF32)
+# scores and witnesses are bounded by n + 1 < DP_LIMIT, so the tables fit int32
+INF = DP_LIMIT
 NEG_INF = -INF
 
 
-@njit(cache=True)
+# Both kernels run over plain Python lists: one tolist() per input array and
+# one int32 array per output are cheaper than indexing numpy scalars in the
+# loop. op_count is one per consumed pair, one per expiry move and one per
+# column.
+
+
 def _max_blocks_kernel(xs, fs, n):
-    s = np.full(n + 1, -_INF32, np.int32)
+    xs, fs = xs.tolist(), fs.tolist()
+    s = [NEG_INF] * (n + 1)
     s[0] = 0
-    pred = np.full(n + 1, -1, np.int32)
-    best = -_INF32
+    pred = [-1] * (n + 1)
+    best = NEG_INF
     bx = -1
     ptr = 0
-    ops = 0
     n_pairs = len(fs)
     for j in range(1, n + 1):
         while ptr < n_pairs and fs[ptr] <= j:
             x = xs[ptr]
-            if s[x] > -_INF32 and s[x] + 1 > best:
+            if s[x] > NEG_INF and s[x] + 1 > best:
                 best = s[x] + 1
                 bx = x
             ptr += 1
-            ops += 1
-        if best > -_INF32:
+        if best > NEG_INF:
             s[j] = best
             pred[j] = bx
-        ops += 1
-    return s, pred, ops
+    return np.array(s, np.int32), np.array(pred, np.int32), ptr + n
 
 
-@njit(cache=True)
 def _min_max_len_kernel(xs, fs, n):
-    s = np.full(n + 1, _INF32, np.int32)
+    xs, fs = xs.tolist(), fs.tolist()
+    s = [INF] * (n + 1)
     s[0] = 0
-    pred = np.full(n + 1, -1, np.int32)
-    C = np.zeros(n + 2, np.int32)
+    pred = [-1] * (n + 1)
+    C = [0] * (n + 2)
     # expiry buckets as linked lists threaded through the x values, with the
     # score stored alongside; maxx[v] = largest consumed non-leader x of
     # score v, which is always a live witness while C[v] > 0
-    bucket_head = np.full(n + 2, -1, np.int32)
-    bucket_next = np.full(n + 1, -1, np.int32)
-    bucket_score = np.full(n + 1, -1, np.int32)
-    maxx = np.full(n + 2, -1, np.int32)
+    bucket_head = [-1] * (n + 2)
+    bucket_next = [-1] * (n + 1)
+    bucket_score = [-1] * (n + 1)
+    maxx = [-1] * (n + 2)
     ptr = 0
-    ops = 0
+    moves = 0
     n_pairs = len(fs)
-    I = np.int32(1)
-    S = _INF32
-    s_wit = np.int32(-1)
+    I = 1
+    S = INF
+    s_wit = -1
     for j in range(1, n + 1):
         while ptr < n_pairs and fs[ptr] <= j:
             x = xs[ptr]
             ptr += 1
-            ops += 1
             sx = s[x]
-            if sx >= _INF32:
+            if sx >= INF:
                 continue  # prefix [1..x] has no valid segmentation
             if j <= x + sx:
                 # non-leader: usable at score s(x) until column x + s(x)
@@ -107,7 +105,7 @@ def _min_max_len_kernel(xs, fs, n):
                 S = j - b
                 s_wit = b
             b = bucket_next[b]
-            ops += 1
+            moves += 1
         if C[I] > 0:
             if I <= S:
                 s[j] = I
@@ -115,14 +113,13 @@ def _min_max_len_kernel(xs, fs, n):
             else:
                 s[j] = S
                 pred[j] = s_wit
-        elif S < _INF32:
+        elif S < INF:
             s[j] = S
             pred[j] = s_wit
         S += 1
         if C[I] == 0:
             I += 1
-        ops += 1
-    return s, pred, ops
+    return np.array(s, np.int32), np.array(pred, np.int32), ptr + moves + n
 
 
 @dataclass

@@ -8,11 +8,11 @@ identical inputs; GFA is the stability contract.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .dp import Segmentation
-from .msa import GapIndex, Msa, spell
+from .msa import GAP, GapIndex, Msa, spell
 
 
 class EfgError(ValueError):
@@ -46,13 +46,6 @@ class Efg:
     def n_nodes(self) -> int:
         return sum(len(block) for block in self.blocks)
 
-    def node_by_id(self, node_id: str) -> EfgNode:
-        for block in self.blocks:
-            for nd in block:
-                if nd.id == node_id:
-                    return nd
-        raise KeyError(node_id)
-
 
 def build_efg(msa: Msa, seg: Segmentation) -> Efg:
     """Founder graph induced by the segmentation (must spell every row)."""
@@ -61,31 +54,29 @@ def build_efg(msa: Msa, seg: Segmentation) -> Efg:
     for (s1, e1), (s2, _) in zip(seg.blocks, seg.blocks[1:]):
         if s2 != e1 + 1:
             raise EfgError("segmentation intervals are not consecutive")
+    if any(x > y for x, y in seg.blocks):
+        raise EfgError("segmentation has an empty interval")
     blocks: list[list[EfgNode]] = []
-    row_node_ids: list[list[str]] = [[] for _ in msa.rows]
+    columns: list[list[str]] = []  # per block, the node id of each row
     for k, (x, y) in enumerate(seg.blocks, start=1):
+        # the blocks cover [1..n] in order, so the slices need no range check
+        labels = [row[x - 1 : y].replace(GAP, "") for row in msa.rows]
         by_label: dict[str, list[int]] = {}
-        for i in range(1, msa.m + 1):
-            t = spell(msa, i, x, y)
-            if not t:
-                raise EfgError(f"row {i} spells the empty string in segment [{x}..{y}]")
+        for i, t in enumerate(labels, start=1):
             by_label.setdefault(t, []).append(i)
+        if "" in by_label:
+            raise EfgError(
+                f"row {by_label[''][0]} spells the empty string in segment [{x}..{y}]"
+            )
         nodes = [
             EfgNode(block=k, rank=r, label=label, rows=tuple(by_label[label]))
             for r, label in enumerate(sorted(by_label))
         ]
         blocks.append(nodes)
         id_of = {nd.label: nd.id for nd in nodes}
-        for i in range(1, msa.m + 1):
-            row_node_ids[i - 1].append(id_of[spell(msa, i, x, y)])
-    edges = sorted(
-        {
-            (path[k], path[k + 1])
-            for path in row_node_ids
-            for k in range(len(path) - 1)
-        }
-    )
-    paths = [(name, ids) for name, ids in zip(msa.names, row_node_ids)]
+        columns.append([id_of[t] for t in labels])
+    edges = sorted({e for a, b in zip(columns, columns[1:]) for e in zip(a, b)})
+    paths = [(name, list(ids)) for name, ids in zip(msa.names, zip(*columns))]
     return Efg(blocks=blocks, edges=edges, paths=paths, intervals=list(seg.blocks))
 
 
@@ -161,18 +152,24 @@ def export_gfa(efg: Efg) -> str:
     for a, b in efg.edges:
         lines.append(f"L\t{a}\t+\t{b}\t+\t0M")
     for name, ids in efg.paths:
-        lines.append(f"P\t{_path_name(name)}\t{','.join(i + '+' for i in ids)}\t*")
+        steps = "+,".join(ids) + "+" if ids else ""
+        lines.append(f"P\t{_path_name(name)}\t{steps}\t*")
     return "\n".join(lines) + "\n"
 
 
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(efg: Efg) -> str:
+    """DOT text; node labels escape backslash and double quote."""
     lines = ["digraph efg {", "  rankdir=LR;", "  node [shape=box];"]
     for k, block in enumerate(efg.blocks, start=1):
         x, y = efg.intervals[k - 1]
         lines.append(f"  subgraph cluster_{k} {{")
         lines.append(f'    label="block {k} [{x}..{y}]";')
         for nd in block:
-            lines.append(f'    "{nd.id}" [label="{nd.label}"];')
+            lines.append(f'    "{nd.id}" [label="{_dot_escape(nd.label)}"];')
         lines.append("  }")
     for a, b in efg.edges:
         lines.append(f'  "{a}" -> "{b}";')
@@ -180,24 +177,48 @@ def export_dot(efg: Efg) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """JSON array of already encoded items, laid out as json.dumps(indent=2)
+    lays out an array whose opening line is indented by ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def export_json(efg: Efg) -> str:
-    doc = {
-        "blocks": [
-            {
-                "index": k,
-                "start": efg.intervals[k - 1][0],
-                "end": efg.intervals[k - 1][1],
-                "nodes": [
-                    {"id": nd.id, "label": nd.label, "rows": list(nd.rows)}
-                    for nd in block
-                ],
-            }
-            for k, block in enumerate(efg.blocks, start=1)
-        ],
-        "edges": [list(e) for e in efg.edges],
-        "paths": [{"name": name, "nodes": ids} for name, ids in efg.paths],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """JSON text of the graph, byte-identical to json.dumps(doc, indent=2,
+    sort_keys=True) + "\n" for the document
+
+        {"blocks": [{"index", "start", "end",
+                     "nodes": [{"id", "label", "rows"}]}],
+         "edges": [[from, to]], "paths": [{"name", "nodes"}]}
+
+    It is written directly: json.dumps with indent runs the pure-Python
+    encoder. Strings go through the same C escaper json.dumps uses."""
+    enc = encode_basestring_ascii
+    blocks = []
+    for k, block in enumerate(efg.blocks, start=1):
+        x, y = efg.intervals[k - 1]
+        nodes = [
+            f'{{\n          "id": {enc(nd.id)},\n          "label": {enc(nd.label)},'
+            f'\n          "rows": {_json_array(list(map(str, nd.rows)), " " * 10)}\n        }}'
+            for nd in block
+        ]
+        blocks.append(
+            f'{{\n      "end": {y},\n      "index": {k},'
+            f'\n      "nodes": {_json_array(nodes, " " * 6)},\n      "start": {x}\n    }}'
+        )
+    edges = [_json_array(list(map(enc, e)), "    ") for e in efg.edges]
+    paths = [
+        f'{{\n      "name": {enc(name)},'
+        f'\n      "nodes": {_json_array(list(map(enc, ids)), " " * 6)}\n    }}'
+        for name, ids in efg.paths
+    ]
+    return (
+        f'{{\n  "blocks": {_json_array(blocks, "  ")},\n  "edges": {_json_array(edges, "  ")},'
+        f'\n  "paths": {_json_array(paths, "  ")}\n}}\n'
+    )
 
 
 def parse_gfa(text: str):

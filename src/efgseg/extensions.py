@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import njit
 from .gst import Gst
 from .msa import GapIndex, Msa, MsaError
 
@@ -42,27 +41,6 @@ def _segmented_min(values: np.ndarray, run: np.ndarray, big: int, reverse: bool)
     return np.minimum.accumulate(values - off) + off
 
 
-@njit(cache=True)
-def _sort_pairs_by_f(f, n):
-    # counting sort over values 1..n+1; stable, so x ascends within equal f
-    counts = np.zeros(n + 2, np.int64)
-    for x in range(n):
-        counts[f[x]] += 1
-    start = np.zeros(n + 2, np.int64)
-    acc = 0
-    for v in range(n + 2):
-        start[v] = acc
-        acc += counts[v]
-    xs = np.empty(n, np.int64)
-    fs = np.empty(n, np.int64)
-    for x in range(n):
-        p = start[f[x]]
-        xs[p] = x
-        fs[p] = f[x]
-        start[f[x]] += 1
-    return xs, fs
-
-
 @dataclass
 class ExtensionTable:
     """f(x) for x in [0..n-1]; value n+1 means no extension ends by column n.
@@ -79,8 +57,13 @@ class ExtensionTable:
     last_row_extensions: np.ndarray  # per-row values of the final column, diagnostics
 
     def pairs_by_f(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xs, fs) with all n pairs (x, f(x)) sorted ascending by f."""
-        return _sort_pairs_by_f(self.f, self.n)
+        """(xs, fs) with all n pairs (x, f(x)) sorted ascending by f.
+
+        The sort is stable, so x ascends within equal f; the DPs' tie-breaking
+        relies on that order.
+        """
+        xs = np.argsort(self.f, kind="stable")
+        return xs, self.f[xs]
 
     def __getitem__(self, x: int) -> int:
         return int(self.f[x])

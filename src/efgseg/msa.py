@@ -16,6 +16,11 @@ from .sais import RANK_LIMIT
 
 GAP = "-"
 
+# Byte values a row may hold: printable ASCII, GAP included, except '>' (the
+# FASTA header mark) and '.' (a gap in A2M and Stockholm, which Msa.from_rows
+# turns into GAP).
+_VALID = bytes(c for c in range(33, 127) if chr(c) not in ">.")
+
 # The segmentation DPs keep scores and columns in int32 below this sentinel.
 DP_LIMIT = 1 << 28
 
@@ -42,7 +47,10 @@ def check_size_limits(n: int, text_len: int):
 
 @dataclass(frozen=True)
 class Msa:
-    """A gapped multiple sequence alignment: m rows of equal length n."""
+    """A gapped multiple sequence alignment: m rows of equal length n.
+
+    Rows hold GAP and printable ASCII symbols other than '>' and '.'.
+    """
 
     rows: tuple[str, ...]
     names: tuple[str, ...]
@@ -61,17 +69,21 @@ class Msa:
                 raise MsaError(
                     f"row '{name}' has length {len(row)}, expected {n}"
                 )
-            for c in row:
-                if c != GAP and not (33 <= ord(c) <= 126 and c != ">"):
-                    raise MsaError(f"row '{name}' contains invalid symbol {c!r}")
+            if not row.isascii() or row.encode("ascii").translate(None, _VALID):
+                bad = next(c for c in row if not c.isascii() or ord(c) not in _VALID)
+                raise MsaError(f"row '{name}' contains invalid symbol {bad!r}")
             if row.count(GAP) == n:
                 raise MsaError(f"row '{name}' consists only of gap symbols")
-        sigma = frozenset("".join(self.rows)) - {GAP}
+        # a boolean scatter, not np.bincount, which copies the bytes to intp first
+        seen = np.zeros(128, np.bool_)
+        seen[np.frombuffer("".join(self.rows).encode("ascii"), np.uint8)] = True
+        sigma = frozenset(map(chr, np.flatnonzero(seen).tolist())) - {GAP}
         object.__setattr__(self, "alphabet", sigma)
 
     @classmethod
     def from_rows(cls, rows, names=None) -> "Msa":
-        rows = tuple(r.upper() for r in rows)
+        """Msa of the upper-cased rows, with every '.' read as a gap."""
+        rows = tuple(r.upper().replace(".", GAP) for r in rows)
         if names is None:
             names = tuple(f"r{i}" for i in range(1, len(rows) + 1))
         return cls(rows=rows, names=tuple(names))
@@ -94,8 +106,8 @@ class Msa:
 def parse_aligned_fasta(data: str | bytes) -> Msa:
     """Parse aligned FASTA text into an Msa.
 
-    Sequence characters are upper-cased; '-' marks a gap. Header text after
-    '>' is kept verbatim as the row name.
+    Sequence characters are upper-cased; '-' and '.' mark a gap. Header text
+    after '>' is kept verbatim as the row name.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii")

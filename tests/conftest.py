@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import efgseg as E
@@ -24,3 +26,17 @@ def build_pipeline(msa):
 @pytest.fixture
 def pipeline():
     return build_pipeline
+
+
+def near_identical_msa(seed, m, n, snp_rate, gap_rate):
+    """Copies of one random row with private substitutions and gaps."""
+    rng = random.Random(seed)
+    base = [rng.choice("ACGT") for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        row = [rng.choice("ACGT") if rng.random() < snp_rate else c for c in base]
+        row = ["-" if rng.random() < gap_rate else c for c in row]
+        if all(c == "-" for c in row):
+            row[0] = base[0]
+        rows.append("".join(row))
+    return E.Msa.from_rows(rows)

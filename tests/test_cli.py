@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,34 @@ def test_export_gfa_rejects_duplicate_path_names(tmp_path, capsys):
     code, out, _ = run(capsys, "export", path, "--format", "json")
     assert code == 0
     assert [p["name"] for p in json.loads(out)["paths"]] == ["a x", "a"]
+
+
+def test_export_dot_escapes_labels(tmp_path, capsys):
+    # node labels '"' and '\\T' must become the DOT strings "\\"" and "\\\\T"
+    path = write(tmp_path, "quote.fa", '>r1\nA"C\\T\n>r2\nAGCTT\n')
+    code, dot, _ = run(capsys, "export", path, "--format", "dot")
+    assert code == 0
+    assert '    "b2_0" [label="\\""];\n' in dot
+    assert '    "b4_1" [label="\\\\T"];\n' in dot
+    dot_string = re.compile(r'"(?:[^"\\]|\\.)*"')
+    for line in dot.splitlines():
+        if "[label=" in line:
+            assert re.fullmatch(rf'    {dot_string.pattern} \[label={dot_string.pattern}\];', line)
+    code, out, _ = run(capsys, "export", path, "--format", "json")
+    assert code == 0
+    labels = [nd["label"] for b in json.loads(out)["blocks"] for nd in b["nodes"]]
+    assert '"' in labels and "\\T" in labels
+
+
+def test_dot_in_rows_is_a_gap(tmp_path, capsys):
+    dotted = write(tmp_path, "dotted.fa", ">r1\nA.cg.T\n>r2\nagcg-T\n>r3\n.GCGAT\n")
+    dashed = write(tmp_path, "dashed.fa", ">r1\nA-CG-T\n>r2\nAGCG-T\n>r3\n-GCGAT\n")
+    code, want, _ = run(capsys, "export", dashed, "--format", "gfa")
+    assert code == 0
+    code, got, _ = run(capsys, "export", dotted, "--format", "gfa")
+    assert code == 0
+    assert got == want
+    assert not any("." in line.split("\t")[2] for line in got.splitlines() if line[0] == "S")
 
 
 def test_gen_deterministic_and_parseable(capsys):

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from efgseg import dp as D
 from efgseg import oracle as O
 from efgseg.dp import (
     INF,
@@ -13,7 +15,103 @@ from efgseg.dp import (
     traceback,
 )
 from efgseg.msa import Msa
-from tests.conftest import build_pipeline
+from tests.conftest import build_pipeline, near_identical_msa
+
+# The DP kernels as loops over numpy scalars: the statements of the list
+# kernels in efgseg.dp over int32 arrays, kept to check the list versions.
+_INF32 = np.int32(INF)
+
+
+def reference_max_blocks(xs, fs, n):
+    s = np.full(n + 1, -_INF32, np.int32)
+    s[0] = 0
+    pred = np.full(n + 1, -1, np.int32)
+    best = -_INF32
+    bx = -1
+    ptr = 0
+    ops = 0
+    n_pairs = len(fs)
+    for j in range(1, n + 1):
+        while ptr < n_pairs and fs[ptr] <= j:
+            x = xs[ptr]
+            if s[x] > -_INF32 and s[x] + 1 > best:
+                best = s[x] + 1
+                bx = x
+            ptr += 1
+            ops += 1
+        if best > -_INF32:
+            s[j] = best
+            pred[j] = bx
+        ops += 1
+    return s, pred, ops
+
+
+def reference_min_max_len(xs, fs, n):
+    s = np.full(n + 1, _INF32, np.int32)
+    s[0] = 0
+    pred = np.full(n + 1, -1, np.int32)
+    C = np.zeros(n + 2, np.int32)
+    # expiry buckets as linked lists threaded through the x values, with the
+    # score stored alongside; maxx[v] = largest consumed non-leader x of
+    # score v, which is always a live witness while C[v] > 0
+    bucket_head = np.full(n + 2, -1, np.int32)
+    bucket_next = np.full(n + 1, -1, np.int32)
+    bucket_score = np.full(n + 1, -1, np.int32)
+    maxx = np.full(n + 2, -1, np.int32)
+    ptr = 0
+    ops = 0
+    n_pairs = len(fs)
+    I = np.int32(1)
+    S = _INF32
+    s_wit = np.int32(-1)
+    for j in range(1, n + 1):
+        while ptr < n_pairs and fs[ptr] <= j:
+            x = xs[ptr]
+            ptr += 1
+            ops += 1
+            sx = s[x]
+            if sx >= _INF32:
+                continue  # prefix [1..x] has no valid segmentation
+            if j <= x + sx:
+                # non-leader: usable at score s(x) until column x + s(x)
+                C[sx] += 1
+                if sx < I:
+                    I = sx
+                if x > maxx[sx]:
+                    maxx[sx] = x
+                e = x + sx + 1
+                if e <= n:
+                    bucket_score[x] = sx
+                    bucket_next[x] = bucket_head[e]
+                    bucket_head[e] = x
+            else:
+                if j - x < S:
+                    S = j - x
+                    s_wit = x
+        b = bucket_head[j]
+        while b != -1:
+            # [b+1..j] just became longer than s(b): move to the leader side
+            C[bucket_score[b]] -= 1
+            if j - b < S:
+                S = j - b
+                s_wit = b
+            b = bucket_next[b]
+            ops += 1
+        if C[I] > 0:
+            if I <= S:
+                s[j] = I
+                pred[j] = maxx[I]
+            else:
+                s[j] = S
+                pred[j] = s_wit
+        elif S < _INF32:
+            s[j] = S
+            pred[j] = s_wit
+        S += 1
+        if C[I] == 0:
+            I += 1
+        ops += 1
+    return s, pred, ops
 
 
 def scores(table):
@@ -197,3 +295,43 @@ def test_score_table_bounds():
             assert v1 is None or 1 <= v1 <= j
             v2 = t2.score(j)
             assert v2 is None or 1 <= v2 <= j
+
+
+def assert_kernels_match_reference(msa):
+    _, _, ext = build_pipeline(msa)
+    xs, fs = ext.pairs_by_f()
+    for kernel, reference in ((D._max_blocks_kernel, reference_max_blocks),
+                              (D._min_max_len_kernel, reference_min_max_len)):
+        s, pred, ops = kernel(xs, fs, msa.n)
+        ref_s, ref_pred, ref_ops = reference(xs, fs, msa.n)
+        assert s.dtype == pred.dtype == np.int32
+        assert s.tolist() == ref_s.tolist(), reference.__name__
+        assert pred.tolist() == ref_pred.tolist(), reference.__name__
+        assert ops == ref_ops, reference.__name__
+
+
+def test_kernels_match_loop_reference_random():
+    # sigma 1 and gap-heavy rows give many unsegmentable prefixes
+    for seed in range(150):
+        rng = random.Random(seed * 7 + 2)
+        spec = O.RandomMsaSpec(
+            seed=seed + 6000, m=rng.randint(1, 8), n=rng.randint(1, 60),
+            sigma=rng.choice([1, 2, 4]), gap_prob=rng.choice([0.0, 0.2, 0.5]),
+        )
+        assert_kernels_match_reference(O.generate_msa(spec))
+
+
+def test_kernels_match_loop_reference_near_identical():
+    for seed in range(40):
+        rng = random.Random(seed)
+        msa = near_identical_msa(
+            seed + 6200, rng.randint(2, 12), rng.randint(1, 300),
+            snp_rate=rng.choice([0.0, 0.02, 0.1]), gap_rate=rng.choice([0.0, 0.05, 0.3]),
+        )
+        assert_kernels_match_reference(msa)
+
+
+def test_kernels_match_loop_reference_large():
+    assert_kernels_match_reference(O.generate_msa(O.RandomMsaSpec(seed=6300, m=16, n=2000)))
+    assert_kernels_match_reference(
+        near_identical_msa(6301, 16, 2000, snp_rate=0.005, gap_rate=0.01))

@@ -1,12 +1,17 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import efgseg as E
 from efgseg import oracle as O
 from efgseg.dp import Segmentation
 from efgseg.efg import (
+    Efg,
     EfgError,
+    EfgNode,
     build_efg,
     export_dot,
     export_gfa,
@@ -15,7 +20,7 @@ from efgseg.efg import (
     validate_semi_repeat_free,
 )
 from efgseg.msa import Msa, spell
-from tests.conftest import build_pipeline
+from tests.conftest import build_pipeline, near_identical_msa
 
 
 def seg_of(blocks, scheme="minmaxlen"):
@@ -28,7 +33,8 @@ def test_fixture_e_graph(msa_e):
     assert labels == [["A"], ["G"], ["C"]]
     assert efg.edges == [("b1_0", "b2_0"), ("b2_0", "b3_0")]
     assert efg.paths == [("r1", ["b1_0", "b2_0", "b3_0"]), ("r2", ["b1_0", "b2_0", "b3_0"])]
-    assert efg.node_by_id("b2_0").rows == (1, 2)
+    node = efg.blocks[1][0]
+    assert node.id == "b2_0" and node.rows == (1, 2)
 
 
 def test_single_row_path_graph():
@@ -162,8 +168,214 @@ def test_dot_and_json_shape(msa_e):
     dot = export_dot(efg)
     assert dot.count("subgraph cluster_") == 3
     assert '"b1_0" -> "b2_0";' in dot
-    import json
-
     doc = json.loads(export_json(efg))
     assert [b["index"] for b in doc["blocks"]] == [1, 2, 3]
     assert doc["edges"] == [["b1_0", "b2_0"], ["b2_0", "b3_0"]]
+
+
+# -- loop references --------------------------------------------------------------
+# The graph build with two validating spell() calls per (row, block), the
+# exporters as they were written before escaping and direct JSON output, and
+# the JSON export through json.dumps. The production versions must match them.
+
+
+def reference_build_efg(msa, seg):
+    if not seg.blocks or seg.blocks[0][0] != 1 or seg.blocks[-1][1] != msa.n:
+        raise EfgError(f"segmentation does not cover [1..{msa.n}]")
+    for (s1, e1), (s2, _) in zip(seg.blocks, seg.blocks[1:]):
+        if s2 != e1 + 1:
+            raise EfgError("segmentation intervals are not consecutive")
+    blocks = []
+    row_node_ids = [[] for _ in msa.rows]
+    for k, (x, y) in enumerate(seg.blocks, start=1):
+        by_label = {}
+        for i in range(1, msa.m + 1):
+            t = spell(msa, i, x, y)
+            if not t:
+                raise EfgError(f"row {i} spells the empty string in segment [{x}..{y}]")
+            by_label.setdefault(t, []).append(i)
+        nodes = [
+            EfgNode(block=k, rank=r, label=label, rows=tuple(by_label[label]))
+            for r, label in enumerate(sorted(by_label))
+        ]
+        blocks.append(nodes)
+        id_of = {nd.label: nd.id for nd in nodes}
+        for i in range(1, msa.m + 1):
+            row_node_ids[i - 1].append(id_of[spell(msa, i, x, y)])
+    edges = sorted(
+        {(path[k], path[k + 1]) for path in row_node_ids for k in range(len(path) - 1)}
+    )
+    paths = [(name, ids) for name, ids in zip(msa.names, row_node_ids)]
+    return Efg(blocks=blocks, edges=edges, paths=paths, intervals=list(seg.blocks))
+
+
+def reference_export_gfa(efg):
+    lines = ["H\tVN:Z:1.0"]
+    for block in efg.blocks:
+        for nd in block:
+            lines.append(f"S\t{nd.id}\t{nd.label}\tbl:i:{nd.block}")
+    for a, b in efg.edges:
+        lines.append(f"L\t{a}\t+\t{b}\t+\t0M")
+    for name, ids in efg.paths:
+        name = name.split()[0] if name.split() else name
+        lines.append(f"P\t{name}\t{','.join(i + '+' for i in ids)}\t*")
+    return "\n".join(lines) + "\n"
+
+
+def reference_export_dot(efg):
+    lines = ["digraph efg {", "  rankdir=LR;", "  node [shape=box];"]
+    for k, block in enumerate(efg.blocks, start=1):
+        x, y = efg.intervals[k - 1]
+        lines.append(f"  subgraph cluster_{k} {{")
+        lines.append(f'    label="block {k} [{x}..{y}]";')
+        for nd in block:
+            lines.append(f'    "{nd.id}" [label="{nd.label}"];')
+        lines.append("  }")
+    for a, b in efg.edges:
+        lines.append(f'  "{a}" -> "{b}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_export_json(efg):
+    doc = {
+        "blocks": [
+            {
+                "index": k,
+                "start": efg.intervals[k - 1][0],
+                "end": efg.intervals[k - 1][1],
+                "nodes": [
+                    {"id": nd.id, "label": nd.label, "rows": list(nd.rows)}
+                    for nd in block
+                ],
+            }
+            for k, block in enumerate(efg.blocks, start=1)
+        ],
+        "edges": [list(e) for e in efg.edges],
+        "paths": [{"name": name, "nodes": ids} for name, ids in efg.paths],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def assert_graph_matches_reference(msa, blocks):
+    seg = seg_of(blocks)
+    try:
+        want = reference_build_efg(msa, seg)
+    except EfgError as exc:
+        with pytest.raises(EfgError) as got:
+            build_efg(msa, seg)
+        assert str(got.value) == str(exc)
+        return None
+    efg = build_efg(msa, seg)
+    assert efg == want
+    assert export_gfa(efg) == reference_export_gfa(want)
+    assert export_dot(efg) == reference_export_dot(want)
+    assert export_json(efg) == reference_export_json(want)
+    return efg
+
+
+def segmentations(msa, rng):
+    """One block, both DP optima (maxblocks has the most blocks) and random cuts."""
+    yield [(1, msa.n)]
+    _, _, ext = build_pipeline(msa)
+    for table in (E.score_max_blocks(ext), E.score_min_max_length(ext.pairs_by_f(), msa.n)):
+        if table.score() is not None:
+            yield E.traceback(table, ext).blocks
+    cuts = sorted(rng.sample(range(1, msa.n), min(msa.n - 1, rng.randint(0, 6))))
+    yield [(a + 1, b) for a, b in zip([0] + cuts, cuts + [msa.n])]
+
+
+def test_build_and_export_match_reference_random():
+    for seed in range(120):
+        rng = random.Random(seed * 11 + 4)
+        spec = O.RandomMsaSpec(
+            seed=seed + 7000, m=rng.randint(1, 8), n=rng.randint(1, 50),
+            sigma=rng.choice([1, 2, 4]), gap_prob=rng.choice([0.0, 0.2, 0.5]),
+        )
+        msa = O.generate_msa(spec)
+        for blocks in segmentations(msa, rng):
+            assert_graph_matches_reference(msa, blocks)
+
+
+def test_build_and_export_match_reference_near_identical():
+    for seed in range(40):
+        rng = random.Random(seed)
+        msa = near_identical_msa(
+            seed + 7200, rng.randint(2, 12), rng.randint(1, 200),
+            snp_rate=rng.choice([0.0, 0.02, 0.1]), gap_rate=rng.choice([0.0, 0.05, 0.3]),
+        )
+        for blocks in segmentations(msa, rng):
+            assert_graph_matches_reference(msa, blocks)
+
+
+def test_build_and_export_match_reference_single_block():
+    msa = Msa.from_rows(["AC-GT", "ACCGT", "A-CGT"])
+    efg = assert_graph_matches_reference(msa, [(1, 5)])
+    assert efg.edges == [] and '"edges": [],' in export_json(efg)
+
+
+def test_build_and_export_match_reference_large():
+    rng = random.Random(7300)
+    for msa in (O.generate_msa(O.RandomMsaSpec(seed=7300, m=16, n=2000)),
+                near_identical_msa(7301, 16, 2000, snp_rate=0.005, gap_rate=0.01)):
+        for blocks in segmentations(msa, rng):
+            assert_graph_matches_reference(msa, blocks)
+
+
+def test_empty_interval_rejected(msa_e):
+    with pytest.raises(EfgError, match="empty interval"):
+        build_efg(msa_e, Segmentation(blocks=[(1, 2), (3, 1), (2, 4)], score=1, scheme="x"))
+
+
+# -- properties ---------------------------------------------------------------------
+
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from(list('"\\\t\n\r\x00\x1f\x7fé\u2028/')), st.characters()),
+    max_size=6,
+)
+
+
+@st.composite
+def graphs(draw):
+    """Efg values of any shape, with arbitrary label, name and id strings."""
+    blocks = []
+    for k in range(1, draw(st.integers(0, 3)) + 1):
+        labels = draw(st.lists(JSON_TEXT, max_size=3))
+        rows = st.lists(st.integers(-(10**12), 10**12), max_size=3)
+        blocks.append([EfgNode(block=k, rank=r, label=label, rows=tuple(draw(rows)))
+                       for r, label in enumerate(labels)])
+    edges = draw(st.lists(st.tuples(JSON_TEXT, JSON_TEXT), max_size=3))
+    paths = draw(st.lists(st.tuples(JSON_TEXT, st.lists(JSON_TEXT, max_size=3)), max_size=3))
+    ends = st.tuples(st.integers(-5, 10**9), st.integers(-5, 10**9))
+    intervals = draw(st.lists(ends, min_size=len(blocks), max_size=len(blocks)))
+    return Efg(blocks=blocks, edges=edges, paths=paths, intervals=intervals)
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_export_json_matches_json_dumps(efg):
+    assert export_json(efg) == reference_export_json(efg)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_gfa_roundtrip_property(data):
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 12))
+    row = st.text("ACGT-", min_size=n, max_size=n).filter(lambda r: r.strip("-"))
+    rows = data.draw(st.lists(row, min_size=m, max_size=m))
+    token = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4)
+    tokens = data.draw(st.lists(token, min_size=m, max_size=m, unique=True))
+    tails = data.draw(st.lists(st.sampled_from(["", " x", "\tlong header"]), min_size=m, max_size=m))
+    msa = E.parse_aligned_fasta("".join(f">{t}{tail}\n{r}\n" for t, tail, r in zip(tokens, tails, rows)))
+    _, _, ext = build_pipeline(msa)
+    table = E.score_min_max_length(ext.pairs_by_f(), msa.n)
+    segs = [[(1, n)]] + ([E.traceback(table, ext).blocks] if table.score() is not None else [])
+    for blocks in segs:
+        efg = build_efg(msa, seg_of(blocks))
+        nodes, edges, paths = parse_gfa(export_gfa(efg))
+        assert nodes == {nd.id: nd.label for block in efg.blocks for nd in block}
+        assert edges == set(efg.edges)
+        assert paths == {name.split()[0]: ids for name, ids in efg.paths}
+        for t, r in zip(tokens, rows):
+            assert "".join(nodes[v] for v in paths[t]) == r.replace("-", "")

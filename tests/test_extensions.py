@@ -8,7 +8,7 @@ from efgseg import extensions as X
 from efgseg import oracle as O
 from efgseg.ancestors import _ascend_run
 from efgseg.msa import Msa, MsaError, spell
-from tests.conftest import build_pipeline
+from tests.conftest import build_pipeline, near_identical_msa
 
 
 def reference_sweep(msa, gi, gst):
@@ -53,20 +53,6 @@ def reference_sweep(msa, gi, gst):
                 cur_off[i] += 1
                 cur_leaf[i] = gst.isa[gst.row_starts[i] + cur_off[i] - 1]
     return f, fi
-
-
-def near_identical_msa(seed, m, n, snp_rate, gap_rate):
-    """Copies of one random row with private substitutions and gaps."""
-    rng = random.Random(seed)
-    base = [rng.choice("ACGT") for _ in range(n)]
-    rows = []
-    for _ in range(m):
-        row = [rng.choice("ACGT") if rng.random() < snp_rate else c for c in base]
-        row = ["-" if rng.random() < gap_rate else c for c in row]
-        if all(c == "-" for c in row):
-            row[0] = base[0]
-        rows.append("".join(row))
-    return Msa.from_rows(rows)
 
 
 def assert_matches_reference(msa):
@@ -211,17 +197,58 @@ def test_minimal_extension_covers_exactly_m_leaves():
                 assert len(covered) > msa.m, (seed, x, y)
 
 
+def reference_pairs_by_f(f, n):
+    """The pair sort as a loop: counting sort over the values 1..n+1."""
+    counts = np.zeros(n + 2, np.int64)
+    for x in range(n):
+        counts[f[x]] += 1
+    start = np.zeros(n + 2, np.int64)
+    acc = 0
+    for v in range(n + 2):
+        start[v] = acc
+        acc += counts[v]
+    xs = np.empty(n, np.int64)
+    fs = np.empty(n, np.int64)
+    for x in range(n):
+        p = start[f[x]]
+        xs[p] = x
+        fs[p] = f[x]
+        start[f[x]] += 1
+    return xs, fs
+
+
+def assert_pairs_match_reference(ext):
+    xs, fs = ext.pairs_by_f()
+    ref_xs, ref_fs = reference_pairs_by_f(ext.f, ext.n)
+    assert xs.dtype == fs.dtype == np.int64
+    assert xs.tolist() == ref_xs.tolist() and fs.tolist() == ref_fs.tolist()
+
+
 def test_pairs_by_f_sorted_and_stable(msa_e):
     _, _, ext = build_pipeline(msa_e)
     xs, fs = ext.pairs_by_f()
     assert fs.tolist() == sorted(ext.f.tolist())
     assert xs.tolist() == [0, 1, 3, 2]  # f values 1,3,4,5
     # stability: equal f keeps x ascending
-    f = np.array([2, 2, 2], dtype=np.int64)
-    from efgseg.extensions import _sort_pairs_by_f
+    ties = X.ExtensionTable(f=np.array([4, 2, 2, 4, 2], np.int64), n=5, op_count=0,
+                            last_row_extensions=np.zeros(1, np.int64))
+    assert ties.pairs_by_f()[0].tolist() == [1, 2, 4, 0, 3]
+    assert_pairs_match_reference(ties)
 
-    xs2, fs2 = _sort_pairs_by_f(f, 3)
-    assert xs2.tolist() == [0, 1, 2]
+
+def test_pairs_by_f_matches_reference():
+    for seed in range(60):
+        rng = random.Random(seed * 13 + 5)
+        spec = O.RandomMsaSpec(
+            seed=seed + 5000, m=rng.randint(1, 8), n=rng.randint(1, 60),
+            sigma=rng.choice([1, 2, 4]), gap_prob=rng.choice([0.0, 0.2, 0.5]),
+        )
+        assert_pairs_match_reference(build_pipeline(O.generate_msa(spec))[2])
+    for seed in range(20):
+        msa = near_identical_msa(seed + 5100, 8, 200, snp_rate=0.02, gap_rate=0.05)
+        assert_pairs_match_reference(build_pipeline(msa)[2])
+    assert_pairs_match_reference(build_pipeline(
+        near_identical_msa(5200, 16, 2000, snp_rate=0.005, gap_rate=0.01))[2])
 
 
 def test_work_counter_linear():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efgseg import msa as msa_module
 from efgseg import oracle as O
@@ -59,6 +61,100 @@ def test_parse_rejects_bad_symbols():
         parse_aligned_fasta(">r1\nA C\n>r2\nAGC\n")
     with pytest.raises(MsaError):
         Msa.from_rows(["A>C"])
+
+
+def test_raw_dot_rejected_and_read_as_gap_by_from_rows():
+    with pytest.raises(MsaError, match="invalid symbol '.'"):
+        Msa(rows=("A.C",), names=("r1",))
+    assert Msa.from_rows(["a.c", "AGC"]).rows == ("A-C", "AGC")
+    assert parse_aligned_fasta(">r1\nA.C\n>r2\nAGC\n").rows == ("A-C", "AGC")
+    with pytest.raises(MsaError, match="gap"):
+        parse_aligned_fasta(">r1\n..-\n")
+
+
+def per_character_check(rows, names):
+    """The row checks of Msa as one loop per character: the MsaError text
+    for the first failing row, or None. A symbol is valid when it is the gap
+    or printable ASCII other than '>' and '.'."""
+    n = len(rows[0])
+    if n == 0:
+        return f"row '{names[0]}' is empty"
+    for name, row in zip(names, rows):
+        if len(row) != n:
+            return f"row '{name}' has length {len(row)}, expected {n}"
+        for c in row:
+            if c != GAP and not (33 <= ord(c) <= 126 and c not in ">."):
+                return f"row '{name}' contains invalid symbol {c!r}"
+        if row.count(GAP) == n:
+            return f"row '{name}' consists only of gap symbols"
+    return None
+
+
+VALID_SYMBOLS = "ACGTNacgtn-~!*"
+ODD_SYMBOLS = st.one_of(
+    st.sampled_from(list(VALID_SYMBOLS + ".>\r\n\t \x7f\x00\x1f\"\\é\u00a0\u2028")),
+    st.characters(),
+)
+
+
+@st.composite
+def row_sets(draw):
+    n = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        symbols = draw(st.sampled_from([st.sampled_from(VALID_SYMBOLS), ODD_SYMBOLS]))
+        size = n + draw(st.sampled_from([0, 0, 0, 1]))
+        rows.append(draw(st.text(symbols, min_size=size, max_size=size)))
+    return rows
+
+
+@settings(deadline=None)
+@given(row_sets())
+def test_symbol_check_matches_per_character_rule(rows):
+    names = tuple(f"r{i}" for i in range(1, len(rows) + 1))
+    want = per_character_check(rows, names)
+    if want is None:
+        msa = Msa(rows=tuple(rows), names=names)
+        assert msa.alphabet == frozenset("".join(rows)) - {GAP}
+    else:
+        with pytest.raises(MsaError) as exc:
+            Msa(rows=tuple(rows), names=names)
+        assert str(exc.value) == want
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_parse_line_endings_case_and_blank_lines(data):
+    n = data.draw(st.integers(1, 10))
+    rows = data.draw(st.lists(st.text("ACGTacgt-.", min_size=n, max_size=n), min_size=1, max_size=4))
+    headers = data.draw(st.lists(st.text("ab1 \t", max_size=5), min_size=len(rows), max_size=len(rows)))
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    width = data.draw(st.integers(1, n))
+    blank = data.draw(st.sampled_from(["", eol, " " + eol]))
+    def fasta(rows):
+        lines = []
+        for header, row in zip(headers, rows):
+            lines.append(">" + header)
+            lines.extend(row[k : k + width] for k in range(0, n, width))
+            lines.append(blank)
+        return eol.join(lines)
+
+    text = fasta(rows)
+    want_rows = tuple(row.upper().replace(".", GAP) for row in rows)
+    names = tuple(h.strip() or f"r{k}" for k, h in enumerate(headers, start=1))
+    if any(row.count(GAP) == n for row in want_rows):
+        with pytest.raises(MsaError, match="gap"):
+            parse_aligned_fasta(text)
+        return
+    for data_in in (text, text.encode("ascii")):
+        msa = parse_aligned_fasta(data_in)
+        assert msa.rows == want_rows and msa.names == names
+    # a non-ASCII symbol fails as text (MsaError) and as bytes (decode error)
+    bad = fasta(["€" + rows[0][1:]] + rows[1:])
+    with pytest.raises(MsaError, match="invalid symbol '€'"):
+        parse_aligned_fasta(bad)
+    with pytest.raises(UnicodeDecodeError):
+        parse_aligned_fasta(bad.encode("utf-8"))
 
 
 def test_parse_sequence_before_header():
