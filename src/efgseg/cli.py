@@ -154,12 +154,14 @@ def _cmd_segment(args) -> int:
     _, _, ext = _pipeline(msa)
     table = _score(ext, args.score, msa.n)
     seg = traceback(table, ext)  # raises UnsegmentableError when s(n) is a sentinel
+    text = segmentation_to_json(seg)
     if args.emit_graph:
-        doc = json.loads(segmentation_to_json(seg))
-        doc["graph"] = json.loads(export_json(build_efg(msa, seg)))
-        _write_output(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        _write_output(args.output, segmentation_to_json(seg))
+        # the graph's JSON goes in one level deeper as key "graph", which
+        # sorts between "blocks" and "scheme": the json.dumps(indent=2,
+        # sort_keys=True) layout of the whole document, without a round trip
+        graph = export_json(build_efg(msa, seg)).rstrip("\n").replace("\n", "\n  ")
+        text = text.replace('\n  "scheme": ', f'\n  "graph": {graph},\n  "scheme": ', 1)
+    _write_output(args.output, text)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._accel import njit
 from .msa import GAP, Msa, MsaError, check_size_limits
-from .sais import lcp_array, suffix_array
+from .sais import enhanced_suffix_array
 
 
 @njit(cache=True)
@@ -114,8 +114,7 @@ class Gst:
         text[terminators] = np.arange(1, m + 1)  # terminator of row i+1
         del cells, nongap, is_symbol
 
-        sa = suffix_array(text, alphabet_size)
-        lcp, isa = lcp_array(text, sa)
+        sa, lcp, isa = enhanced_suffix_array(text, alphabet_size)
 
         self.msa = msa
         self.text = text
@@ -192,21 +191,6 @@ class Gst:
     def leaf_origin(self, leaf: int) -> tuple[int, int]:
         """(row, offset) of a leaf rank, both 1-based."""
         return int(self.leaf_row[leaf]) + 1, int(self.leaf_off[leaf])
-
-    def prev_leaf(self, leaf: int) -> int | None:
-        return leaf - 1 if leaf > 0 else None
-
-    def next_leaf(self, leaf: int) -> int | None:
-        return leaf + 1 if leaf < self.n_leaves - 1 else None
-
-    def mark(self, leaf: int):
-        self.marked[leaf] = True
-
-    def unmark(self, leaf: int):
-        self.marked[leaf] = False
-
-    def is_marked(self, leaf: int) -> bool:
-        return bool(self.marked[leaf])
 
     def is_leaf(self, node: int) -> bool:
         return node < self.n_leaves

@@ -1,27 +1,38 @@
-"""Suffix array by prefix doubling and LCP array by rank lifting, in numpy.
+"""Suffix array, LCP array and inverse suffix array by one prefix doubling, in numpy.
 
 Input is an integer array of positive symbol codes. A suffix that is a proper
 prefix of another sorts first, as if a unique smallest sentinel ended the
 text.
 
-Both start from the packed prefix of every suffix: its first h symbols
-packed into one int64, b bits each, with b the bit width of the largest code
-and h = 63 // b. Code 0 past the end of the text keeps shorter prefixes
-first, so packed prefixes compare like the prefixes themselves.
+The doubling starts from the packed prefix of every suffix: its first h
+symbols packed into one int64, b bits each, with b the bit width of the
+largest code and h = 63 // b. Code 0 past the end of the text keeps shorter
+prefixes first, so packed prefixes compare like the prefixes themselves.
 
-``suffix_array`` is Manber-Myers prefix doubling (Manber & Myers 1993): one
-``np.argsort`` of the packed prefixes orders every suffix by its first h
-symbols, and each further round doubles that length k by sorting one int64
-key, rank * (n + 1) + rank[i + k]. As in Larsson & Sadakane (2007), a rank is
-the first slot of the suffix's group of equal k-prefixes, and a round sorts
-only the suffixes still tied with a neighbour. Each round is O(U log U) for
-U tied suffixes, over O(log(L / h)) rounds, L the longest repeat.
+It is Manber-Myers prefix doubling (Manber & Myers 1993): one ``np.argsort``
+of the packed prefixes orders every suffix by its first k = h symbols, and
+each further round doubles k by sorting one int64 key, rank * (n + 1) +
+rank[i + k]. As in Larsson & Sadakane (2007), a rank is 1 + the first slot
+of the suffix's group of equal k-prefixes, and a round sorts only the
+suffixes still tied with a neighbour. Each round is O(U log U) for U tied
+suffixes, over O(log(L / h)) rounds, L the longest repeat.
 
-``lcp_array`` rebuilds the prefix ranks of lengths h, 2h, 4h, ... along the
-finished suffix array without sorting. It lifts every adjacent pair from the
-top level down, which finds the longest common prefix whose length is a
+After each round's grouping, two suffixes have equal ranks iff their
+k-prefixes are equal: a tied suffix holds its group's head and a suffix
+alone in its group holds its own final slot + 1. So the ranks of a round
+that leaves ties are the LCP lifting level for its length k = 2h, 4h, ...;
+``enhanced_suffix_array`` keeps a copy of each, and the packed prefixes are
+the level for k = h. It lifts every adjacent pair of the suffix array from
+the top level down, which finds the longest common prefix whose length is a
 multiple of h, then reads the last fewer-than-h common symbols off the
-pair's packed prefixes.
+pair's packed prefixes. The packed prefixes are freed after the first sort
+and packed again for the lift, so they do not stay alive through the
+rounds. The inverse comes free: at the end every suffix is alone in its
+group, so isa = rank - 1.
+
+``suffix_array`` is the same doubling without the levels. ``lcp_array(data,
+sa)`` runs the whole doubling again and raises ValueError when ``sa`` is not
+its suffix array.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import numpy as np
 # N must stay below 2^31.
 RANK_LIMIT = 1 << 31
 
-# Elements gathered at once; bounds the temporaries of the LCP passes.
+# Elements gathered at once; bounds the temporaries of the LCP lift.
 _CHUNK = 1 << 14
 
 
@@ -54,27 +65,37 @@ def _packed_prefixes(data: np.ndarray) -> tuple[np.ndarray, int, int]:
     return packed, h, b
 
 
-def _codes(data) -> np.ndarray:
+def _codes(data, alphabet_size: int) -> np.ndarray:
+    """data as a contiguous integer array, checked to hold codes in
+    [1..alphabet_size-1] and to fit int32 ranks."""
     data = np.ascontiguousarray(data)
-    return data if data.dtype.kind in "iu" else data.astype(np.int64)
-
-
-def suffix_array(data: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Suffix array of data (values in [1..alphabet_size-1]), length len(data)."""
-    data = _codes(data)
-    n = len(data)
-    if n == 0:
-        return np.empty(0, np.int32)
-    _check_length(n)
-    if data.min() < 1 or data.max() >= min(alphabet_size, RANK_LIMIT):
+    if data.dtype.kind not in "iu":
+        data = data.astype(np.int64)
+    _check_length(len(data))
+    if len(data) and (data.min() < 1 or data.max() >= min(alphabet_size, RANK_LIMIT)):
         raise ValueError(f"symbol codes must lie in [1..{alphabet_size - 1}]")
-    packed, k, _ = _packed_prefixes(data)
+    return data
+
+
+def _doubling(data: np.ndarray, levels: list | None) -> tuple[np.ndarray, np.ndarray]:
+    """(sa, rank) of a non-empty text, with rank[p] = 1 + the slot of suffix
+    p in sa and rank[n] = 0 for the empty suffix.
+
+    With ``levels`` a list, appends a copy of the ranks after each round
+    that leaves ties, from the second round on: equal ranks in the j-th copy
+    (j = 1, 2, ...) mean equal first h * 2^j symbols.
+    """
+    n = len(data)
+    packed, h, _ = _packed_prefixes(data)
+    k = h
     sa = np.argsort(packed[:n]).astype(np.int32)
-    key = packed[sa]
+    # the keys in sa order, sorted in place rather than gathered into a
+    # second int64 array: one large temporary fewer to page-fault in
+    key = packed[:n]
+    key.sort()
     del packed
     # rank[p] = 1 + the first slot of sa whose suffix shares suffix p's first
-    # k symbols, so a rank never exceeds n (Larsson & Sadakane 2007); rank[n]
-    # = 0 is the empty suffix
+    # k symbols, so a rank never exceeds n (Larsson & Sadakane 2007)
     rank = np.zeros(n + 1, np.int32)
     slots = np.arange(n, dtype=np.int32)  # ascending slots of sa not yet final
     pos = sa  # the suffixes at those slots
@@ -83,6 +104,7 @@ def suffix_array(data: np.ndarray, alphabet_size: int) -> np.ndarray:
         first = np.empty(len(key), np.bool_)
         first[0] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
+        del key
         head = np.where(first, slots, 0)
         np.maximum.accumulate(head, out=head)
         head += 1
@@ -93,62 +115,25 @@ def suffix_array(data: np.ndarray, alphabet_size: int) -> np.ndarray:
         np.logical_not(tied, out=tied)
         slots = slots[tied]
         if len(slots) == 0:
-            return sa
-        # ties break on the rank of the k symbols that follow
+            return sa, rank
         pos = pos[tied]
         key = head[tied].astype(np.int64)
+        del first, head, tied
+        if levels is not None and k > h:
+            levels.append(rank.copy())
+        # ties break on the rank of the k symbols that follow; a tied suffix
+        # has at least k more symbols, so pos + k <= n
         key *= n + 1
-        after = pos.astype(np.int64)
+        after = np.minimum(pos, n - k)
         after += k
-        key += rank[np.minimum(after, n, out=after)]
-        del first, head, tied, after
+        key += rank[after]
+        del after
         order = np.argsort(key)
         pos = pos[order]
         sa[slots] = pos
         key = key[order]
+        del order
         k *= 2
-
-
-def _mark_changes(changed: np.ndarray, key: np.ndarray, sa: np.ndarray, step: int):
-    """changed[r] |= key at sa[r] + step differs from key at sa[r - 1] + step.
-
-    Offsets past the end read key[n]. Gathers run in chunks, so the
-    temporaries stay small.
-    """
-    n = len(sa)
-    for lo in range(1, n, _CHUNK):
-        hi = min(n, lo + _CHUNK)
-        idx = sa[lo - 1 : hi].astype(np.int64)
-        idx += step
-        tail = key[np.minimum(idx, n, out=idx)]
-        changed[lo:hi] |= tail[1:] != tail[:-1]
-
-
-def _prefix_rank_levels(packed: np.ndarray, h: int, sa: np.ndarray) -> list[np.ndarray]:
-    """levels[j][p] is equal for two suffixes p iff their (h * 2^j)-prefixes are.
-
-    Level 0 is ``packed`` itself; the others hold dense ranks as int32. Entry
-    n stands for the empty suffix and is below every other. Along ``sa`` the
-    prefixes are non-decreasing, so the next level's ranks are a cumsum of
-    the positions where the (rank, rank h * 2^j further) pair changes. The
-    first level on which every prefix is distinct is not built: no adjacent
-    pair matches on it.
-    """
-    n = len(sa)
-    levels = [packed]
-    changed = np.zeros(n, np.bool_)  # along sa: does the prefix differ from the one before?
-    changed[0] = True
-    _mark_changes(changed, packed, sa, 0)
-    step = h
-    while not changed.all():
-        _mark_changes(changed, levels[-1], sa, step)
-        if changed.all():
-            break
-        level = np.zeros(n + 1, np.int32)
-        level[sa] = np.cumsum(changed, dtype=np.int32)
-        levels.append(level)
-        step *= 2
-    return levels
 
 
 def _leading_common(diff: np.ndarray, h: int, b: int) -> np.ndarray:
@@ -159,20 +144,16 @@ def _leading_common(diff: np.ndarray, h: int, b: int) -> np.ndarray:
     return h - 1 - top // b
 
 
-def lcp_array(data: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LCP array (lcp[r] = LCP of suffixes at ranks r-1 and r) plus inverse SA."""
-    data = _codes(data)
-    sa = np.ascontiguousarray(sa)
+def _lift(data: np.ndarray, sa: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+    """LCP array of sa from the doubling's levels, with the packed prefixes
+    as the level below them: lcp[r] = LCP of the suffixes at slots r-1 and
+    r, lcp[0] = 0."""
     n = len(sa)
-    _check_length(n)
-    isa = np.empty(n, np.int32)
-    for lo in range(0, n, _CHUNK):
-        isa[sa[lo : lo + _CHUNK]] = np.arange(lo, min(n, lo + _CHUNK), dtype=np.int32)
     lcp = np.zeros(n, np.int32)
     if n < 2:
-        return lcp, isa
+        return lcp
     packed, h, b = _packed_prefixes(data)
-    levels = _prefix_rank_levels(packed, h, sa)
+    levels = [packed, *levels]  # equal at level j: equal first h * 2^j symbols
     for lo in range(1, n, _CHUNK):
         hi = min(n, lo + _CHUNK)
         a = sa[lo - 1 : hi - 1].copy()
@@ -186,4 +167,41 @@ def lcp_array(data: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             c += step
         # the next h symbols differ
         lcp[lo:hi] = c - sa[lo:hi] + _leading_common(packed[a] ^ packed[c], h, b)
+    return lcp
+
+
+def enhanced_suffix_array(
+    data: np.ndarray, alphabet_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sa, lcp, isa) of data (values in [1..alphabet_size-1]), each int32 of
+    length len(data); lcp[r] is the LCP of the suffixes at slots r-1 and r."""
+    data = _codes(data, alphabet_size)
+    n = len(data)
+    if n == 0:
+        return np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int32)
+    levels: list[np.ndarray] = []
+    sa, rank = _doubling(data, levels)
+    lcp = _lift(data, sa, levels)
+    isa = rank[:n]
+    isa -= 1
+    return sa, lcp, isa
+
+
+def suffix_array(data: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Suffix array of data (values in [1..alphabet_size-1]), length len(data)."""
+    data = _codes(data, alphabet_size)
+    if len(data) == 0:
+        return np.empty(0, np.int32)
+    return _doubling(data, None)[0]
+
+
+def lcp_array(data: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LCP array (lcp[r] = LCP of suffixes at ranks r-1 and r) plus inverse SA.
+
+    Runs the doubling of ``enhanced_suffix_array`` on data (positive codes)
+    and raises ValueError when sa is not its suffix array.
+    """
+    own_sa, lcp, isa = enhanced_suffix_array(data, RANK_LIMIT)
+    if not np.array_equal(own_sa, sa):
+        raise ValueError("sa is not the suffix array of data")
     return lcp, isa

@@ -237,11 +237,18 @@ def test_c7_linear_scaling():
             dp_samples[n].append((time.perf_counter() - t0) / reps)
     pre_times = {n: statistics.median(v) for n, v in pre_samples.items()}
     dp_times = {n: statistics.median(v) for n, v in dp_samples.items()}
+    # every sample, in run order, so a failing ratio shows whether one run or
+    # the whole size moved
+    samples = "; ".join(
+        f"n={n}: pre ms [{', '.join(f'{t * 1e3:.2f}' for t in pre_samples[n])}]"
+        f" dp us [{', '.join(f'{t * 1e6:.1f}' for t in dp_samples[n])}]"
+        for n in sizes
+    )
     for a, b in zip(sizes, sizes[1:]):
         pre_ratio = pre_times[b] / pre_times[a]
         dp_ratio = dp_times[b] / dp_times[a]
-        assert pre_ratio <= 2.5, f"preprocessing {a}->{b}: x{pre_ratio:.2f}"
-        assert dp_ratio <= 2.5, f"dp {a}->{b}: x{dp_ratio:.2f}"
+        assert pre_ratio <= 2.5, f"preprocessing {a}->{b}: x{pre_ratio:.2f} ({samples})"
+        assert dp_ratio <= 2.5, f"dp {a}->{b}: x{dp_ratio:.2f} ({samples})"
     summary = ", ".join(
         f"n={n}: pre {pre_times[n] * 1e3:.1f} ms / dp {dp_times[n] * 1e6:.0f} us" for n in sizes
     )

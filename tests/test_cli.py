@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import efgseg.cli as cli
 from efgseg.extensions import ExtensionTable
-from efgseg.msa import parse_aligned_fasta
+from efgseg.msa import Msa, parse_aligned_fasta
 
 E_FASTA = ">r1\nAG-C\n>r2\nA-GC\n"
 AAA_FASTA = ">r1\nAAA\n"
@@ -62,6 +64,31 @@ def test_segment_emit_graph(tmp_path, capsys):
     assert [n["label"] for b in doc["graph"]["blocks"] for n in b["nodes"]] == ["A", "G", "C"]
 
 
+QUOTE_FASTA = '>r1\nA"C\\T\n>r2\nAGCTT\n'
+
+
+@pytest.mark.parametrize("fasta", [E_FASTA, QUOTE_FASTA])
+@pytest.mark.parametrize("scheme", ["maxblocks", "minmaxlen"])
+def test_segment_emit_graph_layout(tmp_path, capsys, fasta, scheme):
+    # the spliced document is byte for byte what json.dumps writes for it
+    path = write(tmp_path, "in.fa", fasta)
+    code, seg_json, _ = run(capsys, "segment", path, "--score", scheme)
+    assert code == 0
+    seg_path = write(tmp_path, "seg.json", seg_json)
+    code, graph_json, _ = run(
+        capsys, "export", path, "--segmentation", seg_path, "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(seg_json)
+    doc["graph"] = json.loads(graph_json)
+    code, out, _ = run(capsys, "segment", path, "--score", scheme, "--emit-graph")
+    assert code == 0
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if fasta == QUOTE_FASTA:
+        labels = [nd["label"] for b in doc["graph"]["blocks"] for nd in b["nodes"]]
+        assert any('"' in label for label in labels) and any("\\" in label for label in labels)
+
+
 def test_export_gfa_via_segmentation_file(tmp_path, capsys):
     msa_path = write(tmp_path, "e.fa", E_FASTA)
     code, seg_json, _ = run(capsys, "segment", msa_path, "--score", "minmaxlen")
@@ -94,7 +121,7 @@ def test_export_gfa_rejects_duplicate_path_names(tmp_path, capsys):
 
 def test_export_dot_escapes_labels(tmp_path, capsys):
     # node labels '"' and '\\T' must become the DOT strings "\\"" and "\\\\T"
-    path = write(tmp_path, "quote.fa", '>r1\nA"C\\T\n>r2\nAGCTT\n')
+    path = write(tmp_path, "quote.fa", QUOTE_FASTA)
     code, dot, _ = run(capsys, "export", path, "--format", "dot")
     assert code == 0
     assert '    "b2_0" [label="\\""];\n' in dot
@@ -134,6 +161,30 @@ def test_validate_ok(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", path)
     assert code == 0
     assert "ok" in out
+
+
+@st.composite
+def small_msas(draw):
+    """Alignments of 1-5 rows by 1-14 columns over 1-3 symbols, with a gap
+    probability up to 0.5 and no all-gap row."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 14))
+    symbols = "ACG"[: draw(st.sampled_from([1, 2, 3]))]
+    gap_prob = draw(st.floats(0, 0.5))
+    symbol = st.sampled_from(symbols)
+    rows = []
+    for _ in range(m):
+        row = ["-" if draw(st.floats(0, 1)) < gap_prob else draw(symbol) for _ in range(n)]
+        if "".join(row).strip("-") == "":
+            row[draw(st.integers(0, n - 1))] = draw(symbol)
+        rows.append("".join(row))
+    return Msa.from_rows(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_msas())
+def test_pipeline_agrees_with_oracles(msa):
+    assert cli.cross_check(msa) == []
 
 
 def test_cross_check_reports_injected_mismatch():

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 import efgseg as E
 from efgseg import oracle as O
+from efgseg.ancestors import solve
 from efgseg.msa import Msa, MsaError
 
 
@@ -117,25 +119,28 @@ def test_leaf_suffix_link_property():
                 assert cur[1:] == nxt
 
 
-def test_prev_next_leaf(msa_e):
+def test_leaf_for_terminator_twins_adjacent(msa_e):
+    # both rows spell AGC, so their full suffixes differ only in the
+    # terminator, which sorts in row order
     gst = E.build_gst(msa_e)
-    assert gst.prev_leaf(0) is None
-    assert gst.next_leaf(gst.n_leaves - 1) is None
-    for leaf in range(1, gst.n_leaves):
-        assert gst.next_leaf(gst.prev_leaf(leaf)) == leaf
-    # terminator twins are adjacent
     a = gst.leaf_for(1, 1)
     b = gst.leaf_for(2, 1)
-    assert abs(a - b) == 1 and gst.path_label(a).startswith("AGC")
+    assert b == a + 1 and gst.path_label(a).startswith("AGC")
 
 
 def test_marks(msa_e):
+    # ancestors.solve reads and writes a Gst's leaf marks; premarked ones
+    # belong to the caller and stay set
     gst = E.build_gst(msa_e)
-    gst.mark(3)
-    assert gst.is_marked(3)
-    assert not gst.is_marked(2) and not gst.is_marked(4)
-    gst.unmark(3)
-    assert not gst.is_marked(3)
+    c1 = gst.leaf_for(1, 3)  # "C$1"
+    gc2 = gst.leaf_for(2, 2)  # "GC$2"
+    gst.marked[[c1, gc2]] = True
+    res = solve(gst, [c1, gc2], premarked=True)
+    assert set(res.nodes()) == {c1, gc2}
+    assert np.flatnonzero(gst.marked).tolist() == sorted([c1, gc2])
+    gst.marked[:] = False
+    solve(gst, [c1, gc2])
+    assert not gst.marked.any()
 
 
 def test_dumps_smoke(msa_e):

@@ -1,8 +1,19 @@
 import random
 
 import numpy as np
+import pytest
 
-from efgseg.sais import lcp_array, suffix_array
+import efgseg as E
+from efgseg import oracle as O
+from efgseg.sais import (
+    _CHUNK,
+    _leading_common,
+    _packed_prefixes,
+    enhanced_suffix_array,
+    lcp_array,
+    suffix_array,
+)
+from tests.conftest import near_identical_msa
 
 
 def naive_sa(data):
@@ -88,3 +99,114 @@ def test_lcp_vs_naive():
         for r in range(1, n):
             assert lcp[r] == naive_lcp_pair(data, sa[r - 1], sa[r])
         assert all(isa[sa[r]] == r for r in range(n))
+
+
+# -- the level-rebuild LCP of the earlier engine, as a loop reference -----------
+
+
+def _mark_changes(changed, key, sa, step):
+    """changed[r] |= key at sa[r] + step differs from key at sa[r - 1] + step.
+
+    Offsets past the end read key[n].
+    """
+    n = len(sa)
+    for lo in range(1, n, _CHUNK):
+        hi = min(n, lo + _CHUNK)
+        idx = sa[lo - 1 : hi].astype(np.int64)
+        idx += step
+        tail = key[np.minimum(idx, n, out=idx)]
+        changed[lo:hi] |= tail[1:] != tail[:-1]
+
+
+def _prefix_rank_levels(packed, h, sa):
+    """levels[j][p] is equal for two suffixes p iff their (h * 2^j)-prefixes are.
+
+    Level 0 is ``packed`` itself; the others are dense ranks rebuilt along
+    ``sa`` as a cumsum of the positions where the (rank, rank h * 2^j
+    further) pair changes.
+    """
+    n = len(sa)
+    levels = [packed]
+    changed = np.zeros(n, np.bool_)
+    changed[0] = True
+    _mark_changes(changed, packed, sa, 0)
+    step = h
+    while not changed.all():
+        _mark_changes(changed, levels[-1], sa, step)
+        if changed.all():
+            break
+        level = np.zeros(n + 1, np.int32)
+        level[sa] = np.cumsum(changed, dtype=np.int32)
+        levels.append(level)
+        step *= 2
+    return levels
+
+
+def reference_lcp_array(data, sa):
+    """(lcp, isa) of a given suffix array, with the levels rebuilt along it."""
+    n = len(sa)
+    isa = np.empty(n, np.int32)
+    isa[sa] = np.arange(n, dtype=np.int32)
+    lcp = np.zeros(n, np.int32)
+    if n < 2:
+        return lcp, isa
+    packed, h, b = _packed_prefixes(data)
+    levels = _prefix_rank_levels(packed, h, sa)
+    for lo in range(1, n, _CHUNK):
+        hi = min(n, lo + _CHUNK)
+        a = sa[lo - 1 : hi - 1].copy()
+        c = sa[lo:hi].copy()
+        for j in range(len(levels) - 1, -1, -1):
+            lv = levels[j]
+            step = (lv[a] == lv[c]) * (h << j)
+            a += step
+            c += step
+        lcp[lo:hi] = c - sa[lo:hi] + _leading_common(packed[a] ^ packed[c], h, b)
+    return lcp, isa
+
+
+def reference_texts():
+    for text in KNOWN + REPETITIVE + ROUNDING:
+        yield text, encode(text)
+    for seed in range(20):
+        rng = random.Random(seed + 900)
+        data, _ = large_code_text(rng, rng.randint(1, 80))
+        yield f"large codes {seed}", data
+    msas = {
+        "16 x 2000 random": O.generate_msa(O.RandomMsaSpec(seed=41, m=16, n=2000)),
+        "16 x 2000 near-identical": near_identical_msa(42, 16, 2000, snp_rate=0.005, gap_rate=0.01),
+        # more terminators: wider symbol codes, a smaller h and more rounds
+        "200 x 500 near-identical": near_identical_msa(43, 200, 500, snp_rate=0.005, gap_rate=0.01),
+    }
+    for name, msa in msas.items():
+        yield name, E.build_gst(msa).text
+
+
+def test_enhanced_suffix_array_matches_reference():
+    for name, data in reference_texts():
+        alphabet_size = int(data.max()) + 1
+        sa, lcp, isa = enhanced_suffix_array(data, alphabet_size)
+        assert sa.dtype == lcp.dtype == isa.dtype == np.int32, name
+        want_lcp, want_isa = reference_lcp_array(data, sa)
+        assert np.array_equal(sa, suffix_array(data, alphabet_size)), name
+        own_lcp, own_isa = lcp_array(data, sa)
+        for got_lcp, got_isa in ((lcp, isa), (own_lcp, own_isa)):
+            assert np.array_equal(got_lcp, want_lcp), name
+            assert np.array_equal(got_isa, want_isa), name
+
+
+def test_lcp_array_rejects_wrong_input():
+    data = encode("mississippi")
+    sa = suffix_array(data, 27)
+    swapped = sa.copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    with pytest.raises(ValueError, match="not the suffix array"):
+        lcp_array(data, swapped)
+    with pytest.raises(ValueError, match="not the suffix array"):
+        lcp_array(data, sa[:-1])
+    bad = data.copy()
+    bad[5] = 0
+    with pytest.raises(ValueError, match="symbol codes"):
+        lcp_array(bad, sa)
+    with pytest.raises(ValueError, match="symbol codes"):
+        enhanced_suffix_array(data, 19)  # 's' is code 19
