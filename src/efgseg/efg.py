@@ -8,7 +8,9 @@ identical inputs; GFA is the stability contract.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from .dp import Segmentation
@@ -21,30 +23,69 @@ class EfgError(ValueError):
 
 @dataclass(frozen=True)
 class EfgNode:
+    id: str
     block: int  # 1-based block index
     rank: int  # 0-based label-lexicographic rank within the block
     label: str
     rows: tuple[int, ...]  # 1-based source rows
 
-    @property
-    def id(self) -> str:
-        return f"b{self.block}_{self.rank}"
-
 
 @dataclass
 class Efg:
-    blocks: list[list[EfgNode]]
+    """The graph as per-block columns.
+
+    Node r of block k (1-based) has label ``labels[k - 1][r]`` and id
+    ``ids[k - 1][r]``; row i passes through the node of rank
+    ``columns[k - 1][i - 1]``. ``blocks`` builds one ``EfgNode`` per node on
+    first access; no export asks for it.
+    """
+
+    labels: list[list[str]]  # per block, its distinct labels in sorted order
+    ids: list[list[str]]  # per block, the id of each node, by rank
+    columns: list[list[int]]  # per block, the node rank of each row
+    names: list[str]  # row names
     edges: list[tuple[str, str]]
-    paths: list[tuple[str, list[str]]]  # (row name, node ids)
     intervals: list[tuple[int, int]]  # column interval per block
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return len(self.labels)
 
     @property
     def n_nodes(self) -> int:
-        return sum(len(block) for block in self.blocks)
+        return sum(map(len, self.labels))
+
+    @property
+    def paths(self) -> list[tuple[str, list[str]]]:
+        """(row name, node ids) per row."""
+        return [(name, list(steps)) for name, steps in zip(self.names, self.row_steps(self.ids))]
+
+    def row_steps(self, node_values: list[list]) -> Iterable[tuple]:
+        """Per row, one tuple holding node_values[k - 1][r] for the node r the
+        row passes in each block k."""
+        if not self.columns:
+            return [()] * len(self.names)
+        return zip(*[list(map(v.__getitem__, col)) for v, col in zip(node_values, self.columns)])
+
+    def node_rows(self, row_values: Sequence) -> list[list[list]]:
+        """Per block and node, row_values[i - 1] for each row i through the
+        node, in row order."""
+        out = []
+        for labels, col in zip(self.labels, self.columns):
+            rows: list[list] = [[] for _ in labels]
+            for v, r in zip(row_values, col):
+                rows[r].append(v)
+            out.append(rows)
+        return out
+
+    @cached_property
+    def blocks(self) -> list[list[EfgNode]]:
+        node_rows = self.node_rows(range(1, len(self.names) + 1))
+        blocks = []
+        for k, (ids, labels, rows) in enumerate(zip(self.ids, self.labels, node_rows), start=1):
+            blocks.append([EfgNode(id=v, block=k, rank=r, label=t, rows=tuple(rs))
+                           for r, (v, t, rs) in enumerate(zip(ids, labels, rows))])
+        return blocks
 
 
 def build_efg(msa: Msa, seg: Segmentation) -> Efg:
@@ -56,28 +97,27 @@ def build_efg(msa: Msa, seg: Segmentation) -> Efg:
             raise EfgError("segmentation intervals are not consecutive")
     if any(x > y for x, y in seg.blocks):
         raise EfgError("segmentation has an empty interval")
-    blocks: list[list[EfgNode]] = []
-    columns: list[list[str]] = []  # per block, the node id of each row
+    labels, ids, columns = [], [], []
     for k, (x, y) in enumerate(seg.blocks, start=1):
         # the blocks cover [1..n] in order, so the slices need no range check
-        labels = [row[x - 1 : y].replace(GAP, "") for row in msa.rows]
-        by_label: dict[str, list[int]] = {}
-        for i, t in enumerate(labels, start=1):
-            by_label.setdefault(t, []).append(i)
-        if "" in by_label:
+        spelled = [row[x - 1 : y].replace(GAP, "") for row in msa.rows]
+        distinct = sorted(set(spelled))
+        if not distinct[0]:  # "" sorts first
             raise EfgError(
-                f"row {by_label[''][0]} spells the empty string in segment [{x}..{y}]"
+                f"row {spelled.index('') + 1} spells the empty string in segment [{x}..{y}]"
             )
-        nodes = [
-            EfgNode(block=k, rank=r, label=label, rows=tuple(by_label[label]))
-            for r, label in enumerate(sorted(by_label))
-        ]
-        blocks.append(nodes)
-        id_of = {nd.label: nd.id for nd in nodes}
-        columns.append([id_of[t] for t in labels])
-    edges = sorted({e for a, b in zip(columns, columns[1:]) for e in zip(a, b)})
-    paths = [(name, list(ids)) for name, ids in zip(msa.names, zip(*columns))]
-    return Efg(blocks=blocks, edges=edges, paths=paths, intervals=list(seg.blocks))
+        rank = {t: r for r, t in enumerate(distinct)}
+        labels.append(distinct)
+        ids.append([f"b{k}_{r}" for r in range(len(distinct))])
+        columns.append(list(map(rank.__getitem__, spelled)))
+    # sorted as strings, so b10_0 comes before b1_0
+    edges = sorted(
+        (ids_a[a], ids_b[b])
+        for ids_a, ids_b, col_a, col_b in zip(ids, ids[1:], columns, columns[1:])
+        for a, b in set(zip(col_a, col_b))
+    )
+    return Efg(labels=labels, ids=ids, columns=columns, names=list(msa.names),
+               edges=edges, intervals=list(seg.blocks))
 
 
 # -- validation ---------------------------------------------------------------
@@ -140,18 +180,16 @@ def export_gfa(efg: Efg) -> str:
     """GFA 1 text; rows whose headers share a first token are rejected,
     because their paths would share one name."""
     seen: dict[str, int] = {}
-    for row, (name, _) in enumerate(efg.paths, start=1):
+    for row, name in enumerate(efg.names, start=1):
         token = _path_name(name)
         if token in seen:
             raise EfgError(f"rows {seen[token]} and {row} share the GFA path name {token!r}")
         seen[token] = row
     lines = ["H\tVN:Z:1.0"]
-    for block in efg.blocks:
-        for nd in block:
-            lines.append(f"S\t{nd.id}\t{nd.label}\tbl:i:{nd.block}")
-    for a, b in efg.edges:
-        lines.append(f"L\t{a}\t+\t{b}\t+\t0M")
-    for name, ids in efg.paths:
+    for k, (ids, labels) in enumerate(zip(efg.ids, efg.labels), start=1):
+        lines.extend(f"S\t{v}\t{t}\tbl:i:{k}" for v, t in zip(ids, labels))
+    lines.extend(f"L\t{a}\t+\t{b}\t+\t0M" for a, b in efg.edges)
+    for name, ids in zip(efg.names, efg.row_steps(efg.ids)):
         steps = "+,".join(ids) + "+" if ids else ""
         lines.append(f"P\t{_path_name(name)}\t{steps}\t*")
     return "\n".join(lines) + "\n"
@@ -164,12 +202,10 @@ def _dot_escape(text: str) -> str:
 def export_dot(efg: Efg) -> str:
     """DOT text; node labels escape backslash and double quote."""
     lines = ["digraph efg {", "  rankdir=LR;", "  node [shape=box];"]
-    for k, block in enumerate(efg.blocks, start=1):
-        x, y = efg.intervals[k - 1]
+    for k, (ids, labels, (x, y)) in enumerate(zip(efg.ids, efg.labels, efg.intervals), start=1):
         lines.append(f"  subgraph cluster_{k} {{")
         lines.append(f'    label="block {k} [{x}..{y}]";')
-        for nd in block:
-            lines.append(f'    "{nd.id}" [label="{_dot_escape(nd.label)}"];')
+        lines.extend(f'    "{v}" [label="{_dot_escape(t)}"];' for v, t in zip(ids, labels))
         lines.append("  }")
     for a, b in efg.edges:
         lines.append(f'  "{a}" -> "{b}";')
@@ -197,13 +233,16 @@ def export_json(efg: Efg) -> str:
     It is written directly: json.dumps with indent runs the pure-Python
     encoder. Strings go through the same C escaper json.dumps uses."""
     enc = encode_basestring_ascii
+    encoded_ids = [list(map(enc, ids)) for ids in efg.ids]
+    row_texts = [str(i) for i in range(1, len(efg.names) + 1)]
     blocks = []
-    for k, block in enumerate(efg.blocks, start=1):
-        x, y = efg.intervals[k - 1]
+    for k, (ids, labels, node_rows, (x, y)) in enumerate(
+        zip(encoded_ids, efg.labels, efg.node_rows(row_texts), efg.intervals), start=1
+    ):
         nodes = [
-            f'{{\n          "id": {enc(nd.id)},\n          "label": {enc(nd.label)},'
-            f'\n          "rows": {_json_array(list(map(str, nd.rows)), " " * 10)}\n        }}'
-            for nd in block
+            f'{{\n          "id": {v},\n          "label": {enc(t)},'
+            f'\n          "rows": {_json_array(rows, " " * 10)}\n        }}'
+            for v, t, rows in zip(ids, labels, node_rows)
         ]
         blocks.append(
             f'{{\n      "end": {y},\n      "index": {k},'
@@ -212,8 +251,8 @@ def export_json(efg: Efg) -> str:
     edges = [_json_array(list(map(enc, e)), "    ") for e in efg.edges]
     paths = [
         f'{{\n      "name": {enc(name)},'
-        f'\n      "nodes": {_json_array(list(map(enc, ids)), " " * 6)}\n    }}'
-        for name, ids in efg.paths
+        f'\n      "nodes": {_json_array(steps, " " * 6)}\n    }}'
+        for name, steps in zip(efg.names, efg.row_steps(encoded_ids))
     ]
     return (
         f'{{\n  "blocks": {_json_array(blocks, "  ")},\n  "edges": {_json_array(edges, "  ")},'

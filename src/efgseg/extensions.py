@@ -54,7 +54,6 @@ class ExtensionTable:
     f: np.ndarray
     n: int
     op_count: int
-    last_row_extensions: np.ndarray  # per-row values of the final column, diagnostics
 
     def pairs_by_f(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, fs) with all n pairs (x, f(x)) sorted ascending by f.
@@ -80,7 +79,6 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
     max_k = gi.sel2d.shape[1] - 1
     sort_passes = max(1, (m - 1).bit_length())
     f = np.empty(n, np.int64)
-    last = np.empty(m, np.int64)
     width = max(1, SWEEP_CHUNK_CELLS // m)
     ops = 0
     for x0 in range(0, n, width):
@@ -102,6 +100,5 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
             k <= gi.spell_lens[rows], gi.sel2d[rows, np.minimum(k, max_k)], n + 1
         )
         f[cols] = fi.max(axis=1)
-        last[rows[-1]] = fi[-1]
         ops += flat.size * (sort_passes + 3)
-    return ExtensionTable(f=f, n=n, op_count=ops, last_row_extensions=last)
+    return ExtensionTable(f=f, n=n, op_count=ops)

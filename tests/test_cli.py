@@ -193,7 +193,6 @@ def test_cross_check_reports_injected_mismatch():
         f=np.array([1, 2, 5, 4], dtype=np.int64),  # f(1) off by one
         n=4,
         op_count=0,
-        last_row_extensions=np.zeros(2, np.int64),
     )
     issues = cli.cross_check(msa, ext=tampered)
     assert issues

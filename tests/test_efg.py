@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,14 @@ def test_dot_and_json_shape(msa_e):
 # the JSON export through json.dumps. The production versions must match them.
 
 
+@dataclass
+class ReferenceGraph:
+    blocks: list
+    edges: list
+    paths: list
+    intervals: list
+
+
 def reference_build_efg(msa, seg):
     if not seg.blocks or seg.blocks[0][0] != 1 or seg.blocks[-1][1] != msa.n:
         raise EfgError(f"segmentation does not cover [1..{msa.n}]")
@@ -195,7 +204,7 @@ def reference_build_efg(msa, seg):
                 raise EfgError(f"row {i} spells the empty string in segment [{x}..{y}]")
             by_label.setdefault(t, []).append(i)
         nodes = [
-            EfgNode(block=k, rank=r, label=label, rows=tuple(by_label[label]))
+            EfgNode(id=f"b{k}_{r}", block=k, rank=r, label=label, rows=tuple(by_label[label]))
             for r, label in enumerate(sorted(by_label))
         ]
         blocks.append(nodes)
@@ -206,7 +215,7 @@ def reference_build_efg(msa, seg):
         {(path[k], path[k + 1]) for path in row_node_ids for k in range(len(path) - 1)}
     )
     paths = [(name, ids) for name, ids in zip(msa.names, row_node_ids)]
-    return Efg(blocks=blocks, edges=edges, paths=paths, intervals=list(seg.blocks))
+    return ReferenceGraph(blocks=blocks, edges=edges, paths=paths, intervals=list(seg.blocks))
 
 
 def reference_export_gfa(efg):
@@ -267,7 +276,10 @@ def assert_graph_matches_reference(msa, blocks):
         assert str(got.value) == str(exc)
         return None
     efg = build_efg(msa, seg)
-    assert efg == want
+    assert efg.blocks == want.blocks
+    assert efg.edges == want.edges
+    assert efg.paths == want.paths
+    assert efg.intervals == want.intervals
     assert export_gfa(efg) == reference_export_gfa(want)
     assert export_dot(efg) == reference_export_dot(want)
     assert export_json(efg) == reference_export_json(want)
@@ -322,6 +334,32 @@ def test_build_and_export_match_reference_large():
             assert_graph_matches_reference(msa, blocks)
 
 
+def test_edges_sorted_by_id_string():
+    # the first column holds 11 distinct symbols and every column is its own
+    # block, so there are blocks b10 and b11 and a node of rank 10 in block 1
+    rng = random.Random(7400)
+    rows = [a + "".join(rng.choice("ACGT") for _ in range(10)) for a in "ABCDEFGHIJK"]
+    msa = Msa.from_rows(rows)
+    efg = assert_graph_matches_reference(msa, [(x, x) for x in range(1, 12)])
+    assert "b1_10" in efg.ids[0] and efg.b == 11
+    links = [tuple(line.split("\t")[1:4:2]) for line in export_gfa(efg).splitlines()
+             if line.startswith("L\t")]
+    assert links == sorted(links) == efg.edges
+    # the b10 -> b11 links come first: "b10_" sorts before "b1_" ("0" < "_")
+    sources = list(dict.fromkeys(a.split("_")[0] for a, _ in links))
+    assert sources == ["b10"] + [f"b{k}" for k in range(1, 10)]
+    assert all(b.startswith("b11_") for a, b in links if a.startswith("b10_"))
+
+
+def test_gfa_and_dot_build_no_node_records(msa_e):
+    efg = build_efg(msa_e, seg_of([(1, 1), (2, 3), (4, 4)]))
+    export_gfa(efg)
+    export_dot(efg)
+    assert "blocks" not in vars(efg)
+    assert efg.blocks[1][0].id == "b2_0"
+    assert "blocks" in vars(efg)
+
+
 def test_empty_interval_rejected(msa_e):
     with pytest.raises(EfgError, match="empty interval"):
         build_efg(msa_e, Segmentation(blocks=[(1, 2), (3, 1), (2, 4)], score=1, scheme="x"))
@@ -337,24 +375,45 @@ JSON_TEXT = st.text(
 
 @st.composite
 def graphs(draw):
-    """Efg values of any shape, with arbitrary label, name and id strings."""
-    blocks = []
-    for k in range(1, draw(st.integers(0, 3)) + 1):
-        labels = draw(st.lists(JSON_TEXT, max_size=3))
-        rows = st.lists(st.integers(-(10**12), 10**12), max_size=3)
-        blocks.append([EfgNode(block=k, rank=r, label=label, rows=tuple(draw(rows)))
-                       for r, label in enumerate(labels)])
+    """Efg values of any shape, with arbitrary label, id and name strings.
+    Each column holds a node rank for every one of the m rows, so node rows
+    are always within 1..m."""
+    m = draw(st.integers(0, 3))
+    names = draw(st.lists(JSON_TEXT, min_size=m, max_size=m))
+    labels, ids, columns = [], [], []
+    for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(1 if m else 0, 3))
+        labels.append(draw(st.lists(JSON_TEXT, min_size=size, max_size=size)))
+        ids.append(draw(st.lists(JSON_TEXT, min_size=size, max_size=size)))
+        ranks = st.integers(0, size - 1) if size else st.nothing()
+        columns.append(draw(st.lists(ranks, min_size=m, max_size=m)))
     edges = draw(st.lists(st.tuples(JSON_TEXT, JSON_TEXT), max_size=3))
-    paths = draw(st.lists(st.tuples(JSON_TEXT, st.lists(JSON_TEXT, max_size=3)), max_size=3))
     ends = st.tuples(st.integers(-5, 10**9), st.integers(-5, 10**9))
-    intervals = draw(st.lists(ends, min_size=len(blocks), max_size=len(blocks)))
-    return Efg(blocks=blocks, edges=edges, paths=paths, intervals=intervals)
+    intervals = draw(st.lists(ends, min_size=len(labels), max_size=len(labels)))
+    return Efg(labels=labels, ids=ids, columns=columns, names=names, edges=edges,
+               intervals=intervals)
 
 
 @settings(deadline=None)
 @given(graphs())
 def test_export_json_matches_json_dumps(efg):
     assert export_json(efg) == reference_export_json(efg)
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_blocks_and_paths_follow_columns(efg):
+    for k, (labels, ids, col) in enumerate(zip(efg.labels, efg.ids, efg.columns), start=1):
+        assert [(nd.id, nd.block, nd.rank, nd.label) for nd in efg.blocks[k - 1]] == [
+            (v, k, r, t) for r, (v, t) in enumerate(zip(ids, labels))
+        ]
+        for nd in efg.blocks[k - 1]:
+            assert nd.rows == tuple(i for i, r in enumerate(col, start=1) if r == nd.rank)
+    assert efg.paths == [
+        (name, [ids[col[i]] for ids, col in zip(efg.ids, efg.columns)])
+        for i, name in enumerate(efg.names)
+    ]
+    assert efg.b == len(efg.blocks) and efg.n_nodes == sum(map(len, efg.blocks))
 
 
 @settings(deadline=None)

@@ -16,7 +16,7 @@ def reference_sweep(msa, gi, gst):
 
     Per column it marks the m current leaves, climbs from each contiguous
     marked run to its exclusive ancestors, and reads g off the depth of each
-    ancestor's parent. Returns (f, per-row values of the final column).
+    ancestor's parent. Returns f.
     """
     m, n = msa.m, msa.n
     parent, depth, leaf_row = gst.parent, gst.string_depth, gst.leaf_row
@@ -52,14 +52,12 @@ def reference_sweep(msa, gi, gst):
             if not gi.is_gap[i, x]:
                 cur_off[i] += 1
                 cur_leaf[i] = gst.isa[gst.row_starts[i] + cur_off[i] - 1]
-    return f, fi
+    return f
 
 
 def assert_matches_reference(msa):
     gi, gst, ext = build_pipeline(msa)
-    f, last = reference_sweep(msa, gi, gst)
-    assert ext.f.tolist() == f.tolist()
-    assert ext.last_row_extensions.tolist() == last.tolist()
+    assert ext.f.tolist() == reference_sweep(msa, gi, gst).tolist()
 
 
 def test_two_distinct_singletons():
@@ -230,8 +228,7 @@ def test_pairs_by_f_sorted_and_stable(msa_e):
     assert fs.tolist() == sorted(ext.f.tolist())
     assert xs.tolist() == [0, 1, 3, 2]  # f values 1,3,4,5
     # stability: equal f keeps x ascending
-    ties = X.ExtensionTable(f=np.array([4, 2, 2, 4, 2], np.int64), n=5, op_count=0,
-                            last_row_extensions=np.zeros(1, np.int64))
+    ties = X.ExtensionTable(f=np.array([4, 2, 2, 4, 2], np.int64), n=5, op_count=0)
     assert ties.pairs_by_f()[0].tolist() == [1, 2, 4, 0, 3]
     assert_pairs_match_reference(ties)
 
