@@ -13,12 +13,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .dp import Segmentation
 from .msa import GAP, GapIndex, Msa, spell
 
 
 class EfgError(ValueError):
     """Raised for improper segmentations or malformed graph inputs."""
+
+
+# build_efg packs each edge as an int64 code below b * w^2 (b blocks, w the
+# most nodes in one block).
+EDGE_CODE_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -35,8 +42,9 @@ class Efg:
     """The graph as per-block columns.
 
     Node r of block k (1-based) has label ``labels[k - 1][r]`` and id
-    ``ids[k - 1][r]``; row i passes through the node of rank
-    ``columns[k - 1][i - 1]``. ``blocks`` builds one ``EfgNode`` per node on
+    ``ids[k - 1][r]`` (``b<k>_<r>``); row i passes through the node of rank
+    ``columns[k - 1][i - 1]``. ``build_efg`` fills ``columns`` from a
+    ``(b, m)`` rank matrix. ``blocks`` builds one ``EfgNode`` per node on
     first access; no export asks for it.
     """
 
@@ -89,7 +97,15 @@ class Efg:
 
 
 def build_efg(msa: Msa, seg: Segmentation) -> Efg:
-    """Founder graph induced by the segmentation (must spell every row)."""
+    """Founder graph induced by the segmentation (must spell every row).
+
+    Only the (row, block) pairs whose gapped slice differs from row 1's are
+    spelled: equal gapped slices spell equal labels, so every other row of a
+    block takes row 1's rank. Edges are the distinct (block, tail rank,
+    head rank) codes of consecutive columns, found with one sort; see
+    ``_edges``. An empty label raises ``EfgError`` naming row 1 if row 1
+    spells it, else the first row that does.
+    """
     if not seg.blocks or seg.blocks[0][0] != 1 or seg.blocks[-1][1] != msa.n:
         raise EfgError(f"segmentation does not cover [1..{msa.n}]")
     for (s1, e1), (s2, _) in zip(seg.blocks, seg.blocks[1:]):
@@ -97,27 +113,62 @@ def build_efg(msa: Msa, seg: Segmentation) -> Efg:
             raise EfgError("segmentation intervals are not consecutive")
     if any(x > y for x, y in seg.blocks):
         raise EfgError("segmentation has an empty interval")
-    labels, ids, columns = [], [], []
-    for k, (x, y) in enumerate(seg.blocks, start=1):
-        # the blocks cover [1..n] in order, so the slices need no range check
-        spelled = [row[x - 1 : y].replace(GAP, "") for row in msa.rows]
-        distinct = sorted(set(spelled))
+    rows, m, b = msa.rows, msa.m, len(seg.blocks)
+    cells = np.frombuffer("".join(rows).encode("ascii"), np.uint8).reshape(m, msa.n)
+    starts = [x - 1 for x, _ in seg.blocks]
+    # differs[k, i]: in block k + 1, row i + 1's gapped slice is not row 1's
+    differs = ~np.logical_and.reduceat(cells == cells[0], starts, axis=1).T
+    listed_blocks, listed_rows = np.nonzero(differs)  # by block, rows ascending
+    ends = np.cumsum(differs.sum(axis=1)).tolist()
+    listed = listed_rows.tolist()
+    labels, ref_ranks, listed_ranks = [], [], []
+    lo = 0
+    for (x, y), hi in zip(seg.blocks, ends):
+        ref = rows[0][x - 1 : y].replace(GAP, "")
+        block_rows = listed[lo:hi]
+        spelled = [rows[i][x - 1 : y].replace(GAP, "") for i in block_rows]
+        distinct = sorted({ref, *spelled})
         if not distinct[0]:  # "" sorts first
-            raise EfgError(
-                f"row {spelled.index('') + 1} spells the empty string in segment [{x}..{y}]"
-            )
+            row = 1 if not ref else block_rows[spelled.index("")] + 1
+            raise EfgError(f"row {row} spells the empty string in segment [{x}..{y}]")
         rank = {t: r for r, t in enumerate(distinct)}
         labels.append(distinct)
-        ids.append([f"b{k}_{r}" for r in range(len(distinct))])
-        columns.append(list(map(rank.__getitem__, spelled)))
-    # sorted as strings, so b10_0 comes before b1_0
-    edges = sorted(
-        (ids_a[a], ids_b[b])
-        for ids_a, ids_b, col_a, col_b in zip(ids, ids[1:], columns, columns[1:])
-        for a, b in set(zip(col_a, col_b))
-    )
-    return Efg(labels=labels, ids=ids, columns=columns, names=list(msa.names),
-               edges=edges, intervals=list(seg.blocks))
+        ref_ranks.append(rank[ref])
+        listed_ranks.extend(map(rank.__getitem__, spelled))
+        lo = hi
+    cols = np.empty((b, m), np.int64)
+    cols[:] = np.array(ref_ranks, np.int64)[:, None]
+    cols[listed_blocks, listed_rows] = listed_ranks
+    widths = list(map(len, labels))
+    w = max(widths)
+    rank_texts = list(map(str, range(w)))
+    ids = [list(map(f"b{k}_".__add__, rank_texts[:size]))
+           for k, size in enumerate(widths, start=1)]
+    return Efg(labels=labels, ids=ids, columns=cols.tolist(), names=list(msa.names),
+               edges=_edges(cols, ids, widths, w), intervals=list(seg.blocks))
+
+
+def _edges(cols: np.ndarray, ids: list[list[str]], widths: list[int], w: int):
+    """Distinct (tail id, head id) pairs of consecutive columns, sorted as id
+    strings, so b10_0 comes before b1_0. Each pair is packed as the int64
+    (block * w + tail rank) * w + head rank, below b * w^2."""
+    b = len(ids)
+    if b * w * w >= EDGE_CODE_LIMIT:
+        raise EfgError(
+            f"{b} blocks of up to {w} nodes; edge codes need b * w^2 below {EDGE_CODE_LIMIT}"
+        )
+    codes = ((np.arange(b - 1, dtype=np.int64)[:, None] * w + cols[:-1]) * w + cols[1:]).ravel()
+    codes.sort()
+    first = np.ones(codes.size, np.bool_)
+    first[1:] = codes[1:] != codes[:-1]
+    codes = codes[first]
+    # node ids in one list, block k's ranks starting at offset[k - 1]
+    flat = [v for block_ids in ids for v in block_ids]
+    offset = np.cumsum([0] + widths, dtype=np.int64)
+    block, rest = np.divmod(codes, w * w)
+    tail = offset[block] + rest // w
+    head = offset[block + 1] + rest % w
+    return sorted(zip(map(flat.__getitem__, tail.tolist()), map(flat.__getitem__, head.tolist())))
 
 
 # -- validation ---------------------------------------------------------------

@@ -192,9 +192,6 @@ class Gst:
         """(row, offset) of a leaf rank, both 1-based."""
         return int(self.leaf_row[leaf]) + 1, int(self.leaf_off[leaf])
 
-    def is_leaf(self, node: int) -> bool:
-        return node < self.n_leaves
-
     def children(self, node: int) -> list[int]:
         """Children of a node in leaf order (computed on demand)."""
         kids = [v for v in range(self.n_nodes) if v != self.root and self.parent[v] == node]
@@ -208,37 +205,6 @@ class Gst:
         codes = self.text[start : start + int(self.string_depth[node])]
         inv = {v: k for k, v in self.sym_code.items()}
         return "".join(inv[c] if c in inv else f"${c}" for c in codes.tolist())
-
-    # -- debug dumps (not a stability contract) ----------------------------
-
-    def dump_text(self) -> str:
-        lines: list[str] = []
-
-        def rec(node: int, indent: int):
-            tag = f"leaf {self.leaf_origin(node)}" if self.is_leaf(node) else "node"
-            lines.append(
-                "  " * indent
-                + f"{tag} depth={int(self.string_depth[node])} "
-                + f"leaves=[{int(self.lml[node])}..{int(self.rml[node])}] "
-                + f"label={self.path_label(node)!r}"
-            )
-            for c in self.children(node):
-                rec(c, indent + 1)
-
-        rec(self.root, 0)
-        return "\n".join(lines) + "\n"
-
-    def dump_dot(self) -> str:
-        lines = ["digraph gst {", "  node [shape=box];"]
-        for v in range(self.n_nodes):
-            lines.append(
-                f'  n{v} [label="d={int(self.string_depth[v])} '
-                f'[{int(self.lml[v])}..{int(self.rml[v])}]"];'
-            )
-            if v != self.root:
-                lines.append(f"  n{int(self.parent[v])} -> n{v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def build_gst(msa: Msa) -> Gst:

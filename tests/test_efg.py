@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import efgseg as E
+from efgseg import efg as efg_module
 from efgseg import oracle as O
 from efgseg.dp import Segmentation
 from efgseg.efg import (
@@ -40,10 +41,14 @@ def test_fixture_e_graph(msa_e):
 
 def test_single_row_path_graph():
     msa = Msa.from_rows(["ACGT"])
-    efg = build_efg(msa, seg_of([(1, 2), (3, 4)]))
+    efg = assert_graph_matches_reference(msa, [(1, 2), (3, 4)])
     assert [len(b) for b in efg.blocks] == [1, 1]
     assert "".join(block[0].label for block in efg.blocks) == "ACGT"
     assert len(efg.edges) == 1
+    msa = Msa.from_rows(["AC-GT"])
+    for blocks in ([(1, 5)], [(1, 1), (2, 4), (5, 5)]):
+        assert assert_graph_matches_reference(msa, blocks).columns == [[0]] * len(blocks)
+    assert assert_graph_matches_reference(msa, [(1, 2), (3, 3), (4, 5)]) is None
 
 
 def test_identical_rows_collapse():
@@ -349,6 +354,56 @@ def test_edges_sorted_by_id_string():
     sources = list(dict.fromkeys(a.split("_")[0] for a, _ in links))
     assert sources == ["b10"] + [f"b{k}" for k in range(1, 10)]
     assert all(b.startswith("b11_") for a, b in links if a.startswith("b10_"))
+
+
+def test_differing_gapped_slices_one_label():
+    # every row's gapped slice differs from row 1's, yet all spell "AC"
+    efg = assert_graph_matches_reference(Msa.from_rows(["A-C", "AC-", "-AC"]), [(1, 3)])
+    assert efg.labels == [["AC"]] and efg.blocks[0][0].rows == (1, 2, 3)
+
+
+def test_empty_spell_names_first_listed_row():
+    # row 1 spells "C" in [2..2], rows 2 and 3 spell ""
+    msa = Msa.from_rows(["AC", "A-", "A-"])
+    assert assert_graph_matches_reference(msa, [(1, 1), (2, 2)]) is None
+    with pytest.raises(EfgError, match=r"^row 2 spells the empty string in segment \[2\.\.2\]$"):
+        build_efg(msa, seg_of([(1, 1), (2, 2)]))
+
+
+def test_row_1_empty_in_a_later_block():
+    msa = Msa.from_rows(["AC-G", "ACTG", "A-TG"])
+    assert assert_graph_matches_reference(msa, [(1, 2), (3, 3), (4, 4)]) is None
+    with pytest.raises(EfgError, match=r"^row 1 spells the empty string in segment \[3\.\.3\]$"):
+        build_efg(msa, seg_of([(1, 2), (3, 3), (4, 4)]))
+
+
+@pytest.mark.parametrize("middle", ["G-", "C-"])
+def test_row_1_alone_differs_in_middle_block(middle):
+    # rows 2..6 hold "-G" in [3..4]; row 1 holds a different gapped slice
+    # there, spelling the same label ("G-") or another one ("C-")
+    rows = ["AA" + middle + "TT"] + ["AA-GTT"] * 5
+    efg = assert_graph_matches_reference(Msa.from_rows(rows), [(1, 2), (3, 4), (5, 6)])
+    assert efg.labels[0] == ["AA"] and efg.labels[2] == ["TT"]
+    if middle == "G-":
+        assert efg.labels[1] == ["G"] and efg.columns[1] == [0] * 6
+    else:
+        assert efg.labels[1] == ["C", "G"] and efg.columns[1] == [0] + [1] * 5
+    assert efg.columns[0] == efg.columns[2] == [0] * 6
+
+
+def test_edge_code_limit_checked(monkeypatch, msa_e, tmp_path, capsys):
+    from efgseg import cli
+
+    seg = seg_of([(1, 1), (2, 3), (4, 4)])  # b = 3 blocks of one node: b * w^2 = 3
+    monkeypatch.setattr(efg_module, "EDGE_CODE_LIMIT", 3)
+    with pytest.raises(EfgError, match="edge codes need b \\* w\\^2 below 3"):
+        build_efg(msa_e, seg)
+    path = tmp_path / "e.fa"
+    path.write_text(">r1\nAG-C\n>r2\nA-GC\n")
+    assert cli.main(["export", str(path)]) == 1
+    assert "edge codes" in capsys.readouterr().err
+    monkeypatch.setattr(efg_module, "EDGE_CODE_LIMIT", 4)
+    assert build_efg(msa_e, seg).edges == [("b1_0", "b2_0"), ("b2_0", "b3_0")]
 
 
 def test_gfa_and_dot_build_no_node_records(msa_e):

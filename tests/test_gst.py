@@ -141,11 +141,3 @@ def test_marks(msa_e):
     gst.marked[:] = False
     solve(gst, [c1, gc2])
     assert not gst.marked.any()
-
-
-def test_dumps_smoke(msa_e):
-    gst = E.build_gst(msa_e)
-    text = gst.dump_text()
-    assert "AGC" in text and "leaves=[0..7]" in text
-    dot = gst.dump_dot()
-    assert dot.startswith("digraph") and "->" in dot
