@@ -2,9 +2,9 @@
 
 Given a tree whose leaves are ranked left to right and a marked subset L of
 leaves, find the minimal node set covering exactly L. Works on any tree
-exposing flat parent / leaf-interval arrays (the suffix tree does; random
-test trees use :class:`ArrayTree`). Queries cost O(|L|) after the O(|tree|)
-array construction.
+exposing flat parent / leaf-interval arrays, the node id of each leaf and
+an array of leaf marks (random test trees use :class:`ArrayTree`). Queries
+cost O(|L|) after the O(|tree|) array construction.
 """
 
 from __future__ import annotations

@@ -168,14 +168,6 @@ class Gst:
     def n_nodes(self) -> int:
         return len(self._tree[0])
 
-    @cached_property
-    def leaf_nodes(self) -> np.ndarray:
-        return np.arange(self.n_leaves, dtype=np.int64)
-
-    @cached_property
-    def marked(self) -> np.ndarray:
-        return np.zeros(self.n_leaves, np.bool_)
-
     # -- navigation -------------------------------------------------------
 
     def leaf_for(self, i: int, p: int) -> int:

@@ -15,20 +15,44 @@ each further round doubles k by sorting one int64 key, rank * (n + 1) +
 rank[i + k]. As in Larsson & Sadakane (2007), a rank is 1 + the first slot
 of the suffix's group of equal k-prefixes, and a round sorts only the
 suffixes still tied with a neighbour. Each round is O(U log U) for U tied
-suffixes, over O(log(L / h)) rounds, L the longest repeat.
+suffixes, over O(log(L / h)) rounds, L the longest repeat. The tied
+suffixes are taken in slot order, so a round's keys arrive grouped by their
+head rank, already sorted between groups; a stable sort (numpy's timsort)
+merges such runs cheaply. The first sort keeps the default kind, because
+the packed prefixes arrive in text order, and there the stable sort is
+slower.
 
 After each round's grouping, two suffixes have equal ranks iff their
 k-prefixes are equal: a tied suffix holds its group's head and a suffix
 alone in its group holds its own final slot + 1. So the ranks of a round
 that leaves ties are the LCP lifting level for its length k = 2h, 4h, ...;
 ``enhanced_suffix_array`` keeps a copy of each, and the packed prefixes are
-the level for k = h. It lifts every adjacent pair of the suffix array from
-the top level down, which finds the longest common prefix whose length is a
-multiple of h, then reads the last fewer-than-h common symbols off the
-pair's packed prefixes. The packed prefixes are freed after the first sort
-and packed again for the lift, so they do not stay alive through the
-rounds. The inverse comes free: at the end every suffix is alone in its
-group, so isa = rank - 1.
+the level for k = h. Lifting a pair of suffixes walks the levels from the
+top down, which finds the longest common prefix whose length is a multiple
+of h, then reads the last fewer-than-h common symbols off the pair's packed
+prefixes. The packed prefixes are freed after the first sort and packed
+again for the lift, so they do not stay alive through the rounds.
+
+Which pairs are lifted depends on whether the doubling left a level, that
+is, whether the text repeats at least 2h symbols:
+
+- With no level, every adjacent pair of the suffix array is lifted; each is
+  one compare of packed prefixes.
+- Otherwise only the irreducible pairs are lifted. Slot r is irreducible
+  when the suffixes at slots r-1 and r are preceded by different symbols
+  (the Burrows-Wheeler transform changes between them), and the slot of
+  suffix 0 and the slot after it count as irreducible. At every other slot
+  the permuted LCP array, PLCP[i] = the LCP of suffix i and its predecessor
+  in the suffix array, satisfies PLCP[i] = PLCP[i-1] - 1 (Kärkkäinen,
+  Manzini & Puglisi, "Permuted Longest-Common-Prefix Array", CPM 2009). So
+  PLCP is filled in text order from the irreducible positions by one
+  running maximum of PLCP[i] + i, which never decreases and never exceeds
+  n, so it stays int32. The levels and the packed prefixes are freed before
+  the fill. The lift is then O(N) plus O(r log(L / h)) for r irreducible
+  pairs; near-identical rows leave few of them.
+
+The inverse comes free: at the end every suffix is alone in its group, so
+isa = rank - 1.
 
 ``suffix_array`` is the same doubling without the levels. ``lcp_array(data,
 sa)`` runs the whole doubling again and raises ValueError when ``sa`` is not
@@ -128,7 +152,7 @@ def _doubling(data: np.ndarray, levels: list | None) -> tuple[np.ndarray, np.nda
         after += k
         key += rank[after]
         del after
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")
         pos = pos[order]
         sa[slots] = pos
         key = key[order]
@@ -144,20 +168,19 @@ def _leading_common(diff: np.ndarray, h: int, b: int) -> np.ndarray:
     return h - 1 - top // b
 
 
-def _lift(data: np.ndarray, sa: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
-    """LCP array of sa from the doubling's levels, with the packed prefixes
-    as the level below them: lcp[r] = LCP of the suffixes at slots r-1 and
-    r, lcp[0] = 0."""
-    n = len(sa)
-    lcp = np.zeros(n, np.int32)
-    if n < 2:
-        return lcp
+def _lift_pairs(
+    data: np.ndarray, left: np.ndarray, right: np.ndarray, levels: list[np.ndarray]
+) -> np.ndarray:
+    """LCP of the suffixes left[t] and right[t], two distinct suffixes of
+    data, from the doubling's levels, with the packed prefixes as the level
+    below them."""
     packed, h, b = _packed_prefixes(data)
     levels = [packed, *levels]  # equal at level j: equal first h * 2^j symbols
-    for lo in range(1, n, _CHUNK):
-        hi = min(n, lo + _CHUNK)
-        a = sa[lo - 1 : hi - 1].copy()
-        c = sa[lo:hi].copy()
+    lcp = np.empty(len(left), np.int32)
+    for lo in range(0, len(left), _CHUNK):
+        hi = min(len(left), lo + _CHUNK)
+        a = left[lo:hi].copy()
+        c = right[lo:hi].copy()
         for j in range(len(levels) - 1, -1, -1):
             # equal prefixes are never cut short by the end of the text,
             # because distinct suffixes have distinct lengths
@@ -166,8 +189,56 @@ def _lift(data: np.ndarray, sa: np.ndarray, levels: list[np.ndarray]) -> np.ndar
             a += step
             c += step
         # the next h symbols differ
-        lcp[lo:hi] = c - sa[lo:hi] + _leading_common(packed[a] ^ packed[c], h, b)
+        lcp[lo:hi] = c - right[lo:hi] + _leading_common(packed[a] ^ packed[c], h, b)
     return lcp
+
+
+def _lift(
+    data: np.ndarray, sa: np.ndarray, rank: np.ndarray, levels: list[np.ndarray]
+) -> np.ndarray:
+    """LCP array of sa from the doubling's final ``rank`` and its levels:
+    lcp[r] = LCP of the suffixes at slots r-1 and r, lcp[0] = 0. Empties
+    ``levels``.
+
+    With no level (no repeat of 2h symbols), every adjacent pair is lifted,
+    each by one compare of packed prefixes. Otherwise only the irreducible
+    slots r are lifted: those whose suffixes are preceded by different
+    symbols, plus the slot of suffix 0 and the slot after it, where the
+    preceding symbol is unknown. At any other slot r, suffix i = sa[r] and
+    its predecessor extend suffix i-1 and its predecessor by the same
+    symbol, so PLCP[i] = PLCP[i-1] - 1 (Kärkkäinen, Manzini & Puglisi, CPM
+    2009), with PLCP[i] the LCP of suffix i and its predecessor in sa.
+    PLCP[i] + i then equals its value at the last irreducible position
+    j <= i, and as it never decreases, one running maximum over text order
+    fills it in. It never exceeds n, so int32 holds it.
+    """
+    n = len(sa)
+    if n < 2:
+        return np.zeros(n, np.int32)
+    if not levels:
+        lcp = np.empty(n, np.int32)
+        lcp[0] = 0
+        lcp[1:] = _lift_pairs(data, sa[:-1], sa[1:], levels)
+        return lcp
+    bwt = data[sa - 1]
+    irreducible = np.empty(n, np.bool_)
+    np.not_equal(bwt[1:], bwt[:-1], out=irreducible[1:])
+    del bwt
+    head = int(rank[0]) - 1  # the slot of suffix 0
+    irreducible[head] = irreducible[min(head + 1, n - 1)] = True
+    irreducible[0] = False  # slot 0 has no pair; suffix sa[0] is set below
+    slots = np.flatnonzero(irreducible)
+    del irreducible
+    right = sa[slots]
+    plcp_end = _lift_pairs(data, sa[slots - 1], right, levels)
+    levels.clear()  # free the levels before the fill allocates
+    plcp_end += right
+    plcp = np.zeros(n, np.int32)
+    plcp[right] = plcp_end
+    plcp[sa[0]] = sa[0]
+    np.maximum.accumulate(plcp, out=plcp)
+    plcp -= np.arange(n, dtype=np.int32)
+    return plcp[sa]
 
 
 def enhanced_suffix_array(
@@ -181,7 +252,7 @@ def enhanced_suffix_array(
         return np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int32)
     levels: list[np.ndarray] = []
     sa, rank = _doubling(data, levels)
-    lcp = _lift(data, sa, levels)
+    lcp = _lift(data, sa, rank, levels)
     isa = rank[:n]
     isa -= 1
     return sa, lcp, isa

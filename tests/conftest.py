@@ -1,5 +1,7 @@
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import efgseg as E
@@ -26,6 +28,20 @@ def build_pipeline(msa):
 @pytest.fixture
 def pipeline():
     return build_pipeline
+
+
+def leaf_tree(gst):
+    """The tree view of gst as ``ancestors.solve`` reads it, with fresh
+    leaf marks. A Gst's leaves are node ids 0..n_leaves-1 in suffix order."""
+    return SimpleNamespace(
+        parent=gst.parent,
+        lml=gst.lml,
+        rml=gst.rml,
+        root=gst.root,
+        n_leaves=gst.n_leaves,
+        leaf_nodes=np.arange(gst.n_leaves, dtype=np.int64),
+        marked=np.zeros(gst.n_leaves, np.bool_),
+    )
 
 
 def near_identical_msa(seed, m, n, snp_rate, gap_rate):

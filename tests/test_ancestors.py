@@ -5,6 +5,7 @@ import pytest
 import efgseg as E
 from efgseg import oracle as O
 from efgseg.ancestors import ArrayTree, solve
+from tests.conftest import leaf_tree
 
 
 def star(n_leaves=3):
@@ -38,10 +39,10 @@ def test_gst_examples(msa_e):
     # their own exclusive ancestors
     c1 = gst.leaf_for(1, 3)  # "C$1"
     gc2 = gst.leaf_for(2, 2)  # "GC$2"
-    res = solve(gst, [c1, gc2])
+    res = solve(leaf_tree(gst), [c1, gc2])
     assert set(res.nodes()) == {c1, gc2}
     # both full-depth twins collapse to the internal "AGC" node
-    res = solve(gst, [gst.leaf_for(1, 1), gst.leaf_for(2, 1)])
+    res = solve(leaf_tree(gst), [gst.leaf_for(1, 1), gst.leaf_for(2, 1)])
     nodes = res.nodes()
     assert len(nodes) == 1
     assert gst.path_label(nodes[0]) == "AGC"

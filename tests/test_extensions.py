@@ -25,6 +25,7 @@ def reference_sweep(msa, gi, gst):
     cur_leaf = np.array([gst.isa[gst.row_starts[i]] for i in range(m)], np.int64)
     cur_off = np.ones(m, np.int64)
     marked = np.zeros(gst.n_leaves, np.bool_)
+    leaf_nodes = np.arange(gst.n_leaves, dtype=np.int64)  # leaves are node ids 0..N-1
     anc_node = np.empty(m, np.int64)
     anc_lo = np.empty(m, np.int64)
     anc_hi = np.empty(m, np.int64)
@@ -38,7 +39,7 @@ def reference_sweep(msa, gi, gst):
             while rb + 1 < gst.n_leaves and marked[rb + 1]:
                 rb += 1
             count, _ = _ascend_run(
-                parent, gst.lml, gst.rml, gst.leaf_nodes, lb, rb, anc_node, anc_lo, anc_hi
+                parent, gst.lml, gst.rml, leaf_nodes, lb, rb, anc_node, anc_lo, anc_hi
             )
             for t in range(count):
                 g = depth[parent[anc_node[t]]] + 1

@@ -5,6 +5,7 @@ import efgseg as E
 from efgseg import oracle as O
 from efgseg.ancestors import solve
 from efgseg.msa import Msa, MsaError
+from tests.conftest import leaf_tree
 
 
 def suffix_codes(gst, leaf):
@@ -129,15 +130,16 @@ def test_leaf_for_terminator_twins_adjacent(msa_e):
 
 
 def test_marks(msa_e):
-    # ancestors.solve reads and writes a Gst's leaf marks; premarked ones
-    # belong to the caller and stay set
+    # ancestors.solve reads and writes the leaf marks of the suffix tree;
+    # premarked ones belong to the caller and stay set
     gst = E.build_gst(msa_e)
+    tree = leaf_tree(gst)
     c1 = gst.leaf_for(1, 3)  # "C$1"
     gc2 = gst.leaf_for(2, 2)  # "GC$2"
-    gst.marked[[c1, gc2]] = True
-    res = solve(gst, [c1, gc2], premarked=True)
+    tree.marked[[c1, gc2]] = True
+    res = solve(tree, [c1, gc2], premarked=True)
     assert set(res.nodes()) == {c1, gc2}
-    assert np.flatnonzero(gst.marked).tolist() == sorted([c1, gc2])
-    gst.marked[:] = False
-    solve(gst, [c1, gc2])
-    assert not gst.marked.any()
+    assert np.flatnonzero(tree.marked).tolist() == sorted([c1, gc2])
+    tree.marked[:] = False
+    solve(tree, [c1, gc2])
+    assert not tree.marked.any()

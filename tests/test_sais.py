@@ -7,6 +7,7 @@ import efgseg as E
 from efgseg import oracle as O
 from efgseg.sais import (
     _CHUNK,
+    _doubling,
     _leading_common,
     _packed_prefixes,
     enhanced_suffix_array,
@@ -38,13 +39,17 @@ REPETITIVE = [unit * reps for unit in ("a", "ab", "aab") for reps in (2, 3, 5, 8
 # The packed prefixes of the adjacent suffixes "acc...c" and "b" xor to 62
 # one bits, which a float conversion rounds up to the next power of two.
 ROUNDING = ["a" + "c" * 30 + "b"]
+# Suffix 0 has no preceding symbol, so when only the irreducible pairs are
+# lifted, its slot and the slot after it always are. Here suffix 0 sorts
+# last, then first, and each text repeats enough symbols to take that lift.
+SUFFIX_ZERO = ["z" + "a" * 40, "a" * 40 + "z"]
 
 
 KNOWN = ["banana", "abracadabra", "mississippi", "a", "aa", "ab", "ba", "zzzzzz"]
 
 
 def test_known_strings():
-    for text in KNOWN + REPETITIVE + ROUNDING:
+    for text in KNOWN + REPETITIVE + ROUNDING + SUFFIX_ZERO:
         data = encode(text)
         sa = suffix_array(data, 27)
         assert sa.tolist() == naive_sa(data), text
@@ -166,7 +171,7 @@ def reference_lcp_array(data, sa):
 
 
 def reference_texts():
-    for text in KNOWN + REPETITIVE + ROUNDING:
+    for text in KNOWN + REPETITIVE + ROUNDING + SUFFIX_ZERO:
         yield text, encode(text)
     for seed in range(20):
         rng = random.Random(seed + 900)
@@ -177,6 +182,8 @@ def reference_texts():
         "16 x 2000 near-identical": near_identical_msa(42, 16, 2000, snp_rate=0.005, gap_rate=0.01),
         # more terminators: wider symbol codes, a smaller h and more rounds
         "200 x 500 near-identical": near_identical_msa(43, 200, 500, snp_rate=0.005, gap_rate=0.01),
+        # almost every adjacent pair is preceded by equal symbols
+        "16 x 500 identical": near_identical_msa(44, 16, 500, snp_rate=0, gap_rate=0),
     }
     for name, msa in msas.items():
         yield name, E.build_gst(msa).text
@@ -193,6 +200,51 @@ def test_enhanced_suffix_array_matches_reference():
         for got_lcp, got_isa in ((lcp, isa), (own_lcp, own_isa)):
             assert np.array_equal(got_lcp, want_lcp), name
             assert np.array_equal(got_isa, want_isa), name
+
+
+def test_reference_texts_take_both_lifts():
+    # a text with no repeat of 2h symbols leaves no level and lifts every
+    # pair; a long repeat leaves levels and lifts only the irreducible pairs
+    n_levels = []
+    for _, data in reference_texts():
+        levels = []
+        _doubling(data, levels)
+        n_levels.append(len(levels))
+    assert min(n_levels) == 0
+    assert max(n_levels) >= 3
+
+
+def repetitive_text(rng):
+    """A periodic text with a few substitutions, or copies of one row with
+    private substitutions, row i ended by terminator code i as in a Gst."""
+    if rng.random() < 0.5:
+        unit = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+        data = unit * rng.randint(2, 80)
+        for _ in range(rng.randint(0, 3)):
+            data[rng.randrange(len(data))] = rng.randint(1, 4)
+    else:
+        m = rng.randint(2, 8)
+        base = [rng.randint(m + 1, m + 4) for _ in range(rng.randint(10, 80))]
+        data = []
+        for row in range(1, m + 1):
+            data += [rng.randint(m + 1, m + 4) if rng.random() < 0.02 else c for c in base]
+            data.append(row)
+    return np.array(data, np.int64)
+
+
+def test_repetitive_texts_match_reference():
+    filled = 0
+    for seed in range(300):
+        data = repetitive_text(random.Random(seed + 1300))
+        levels = []
+        _doubling(data, levels)
+        filled += bool(levels)
+        sa, lcp, isa = enhanced_suffix_array(data, int(data.max()) + 1)
+        assert sa.tolist() == naive_sa(data), seed
+        want_lcp, want_isa = reference_lcp_array(data, sa)
+        assert np.array_equal(lcp, want_lcp), (seed, data.tolist())
+        assert np.array_equal(isa, want_isa), seed
+    assert filled >= 100  # most texts take the lift of the irreducible pairs
 
 
 def test_lcp_array_rejects_wrong_input():
