@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import njit
 
-
-@njit(cache=True)
 def _ascend_run(parent, lml, rml, leaf_nodes, lb, rb, out_node, out_lo, out_hi):
     """Exclusive ancestors of the contiguous marked leaf run [lb..rb].
 

@@ -83,10 +83,33 @@ def segmentation_to_json(seg: Segmentation) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _json_int(obj: dict, key: str, where: str) -> int:
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        got = json.dumps(value)
+        raise ValueError(f"segmentation: {where}{key!r} must be an integer, not {got}")
+    return value
+
+
 def segmentation_from_json(text: str) -> Segmentation:
+    """Parse the JSON that ``segmentation_to_json`` writes.
+
+    Raises ValueError unless the document is an object whose ``blocks`` is a
+    list of objects and whose ``score`` and every block's ``start`` and
+    ``end`` are integers (JSON ``true``/``false`` and fractions are not).
+    """
     doc = json.loads(text)
-    blocks = [(int(b["start"]), int(b["end"])) for b in doc["blocks"]]
-    return Segmentation(blocks=blocks, score=int(doc["score"]), scheme=doc.get("scheme", ""))
+    if not isinstance(doc, dict):
+        raise ValueError("segmentation: the document must be a JSON object")
+    if not isinstance(doc.get("blocks"), list):
+        raise ValueError("segmentation: 'blocks' must be a list")
+    blocks = []
+    for k, b in enumerate(doc["blocks"], 1):
+        if not isinstance(b, dict):
+            raise ValueError(f"segmentation: block {k} must be a JSON object")
+        blocks.append((_json_int(b, "start", f"block {k} "), _json_int(b, "end", f"block {k} ")))
+    score = _json_int(doc, "score", "")
+    return Segmentation(blocks=blocks, score=score, scheme=doc.get("scheme", ""))
 
 
 def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
@@ -134,6 +157,14 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
 
 
 def _cmd_gen(args) -> int:
+    # generate_msa resamples all-gap rows, so it needs a column that can hold
+    # a symbol: a gap threshold below 1000 per mille and at least one column
+    if args.rows < 1 or args.cols < 1:
+        raise ValueError("--rows and --cols must be at least 1")
+    if not 1 <= args.sigma <= len(oracle._LETTERS):
+        raise ValueError(f"--sigma must be in 1..{len(oracle._LETTERS)}")
+    if not (0 <= args.gap_prob < 1 and round(args.gap_prob * 1000) < 1000):
+        raise ValueError("--gap-prob must be at least 0 and round to below 1 in thousandths")
     spec = oracle.RandomMsaSpec(
         seed=args.seed, m=args.rows, n=args.cols, sigma=args.sigma, gap_prob=args.gap_prob
     )

@@ -154,8 +154,9 @@ class GapIndex:
     """Constant-time rank/select over the non-gap positions of each row.
 
     Maps between alignment columns and positions in the gaps-removed rows.
-    Backed by plain prefix-sum and position arrays, shared with the
-    compiled kernels.
+    Backed by int32 arrays: per-row prefix sums of the non-gap flags
+    (``rank2d``), the columns of each row's non-gaps (``sel2d``) and each
+    row's non-gap count (``spell_lens``).
     """
 
     def __init__(self, msa: Msa):
@@ -165,7 +166,6 @@ class GapIndex:
         nongap = np.zeros((m, n), dtype=np.bool_)
         for i, row in enumerate(msa.rows):
             nongap[i] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) != ord(GAP)
-        self.is_gap = ~nongap
         # rank2d[i, x] = number of non-gaps in row i+1, columns [1..x]
         self.rank2d = np.zeros((m, n + 1), dtype=np.int32)
         np.cumsum(nongap, axis=1, out=self.rank2d[:, 1:])

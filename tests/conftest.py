@@ -1,10 +1,10 @@
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import efgseg as E
+from efgseg.msa import MsaError
 
 
 @pytest.fixture
@@ -30,18 +30,118 @@ def pipeline():
     return build_pipeline
 
 
-def leaf_tree(gst):
-    """The tree view of gst as ``ancestors.solve`` reads it, with fresh
-    leaf marks. A Gst's leaves are node ids 0..n_leaves-1 in suffix order."""
-    return SimpleNamespace(
-        parent=gst.parent,
-        lml=gst.lml,
-        rml=gst.rml,
-        root=gst.root,
-        n_leaves=gst.n_leaves,
-        leaf_nodes=np.arange(gst.n_leaves, dtype=np.int64),
-        marked=np.zeros(gst.n_leaves, np.bool_),
-    )
+def _lcp_interval_tree(lcp, n_leaves):
+    cap = 2 * n_leaves + 1
+    parent = np.full(cap, -1, np.int64)
+    depth = np.zeros(cap, np.int64)
+    lml = np.zeros(cap, np.int64)
+    rml = np.zeros(cap, np.int64)
+    root = n_leaves
+    nxt = root + 1
+    stack = np.empty(n_leaves + 2, np.int64)
+    stack[0] = root
+    top = 0
+    for i in range(n_leaves):
+        h = lcp[i] if i > 0 else 0
+        if i > 0 and depth[stack[top]] > h:
+            # the previous leaf's parent is the deepest interval now closing
+            parent[i - 1] = stack[top]
+        while depth[stack[top]] > h:
+            v = stack[top]
+            top -= 1
+            rml[v] = i - 1
+            t = stack[top]
+            if depth[t] >= h:
+                parent[v] = t
+            else:
+                u = nxt
+                nxt += 1
+                depth[u] = h
+                lml[u] = lml[v]
+                parent[v] = u
+                top += 1
+                stack[top] = u
+                break
+        if depth[stack[top]] < h:
+            u = nxt
+            nxt += 1
+            depth[u] = h
+            lml[u] = i - 1
+            top += 1
+            stack[top] = u
+        if i > 0 and parent[i - 1] == -1:
+            parent[i - 1] = stack[top]
+        lml[i] = i
+        rml[i] = i
+    parent[n_leaves - 1] = stack[top]
+    while top > 0:
+        v = stack[top]
+        top -= 1
+        rml[v] = n_leaves - 1
+        parent[v] = stack[top]
+    rml[root] = n_leaves - 1
+    return parent[:nxt], depth[:nxt], lml[:nxt], rml[:nxt], root
+
+
+class SuffixTree:
+    """The generalized suffix tree of a Gst, built from ``gst.lcp`` and ``gst.sa``.
+
+    The package answers its tree queries on the enhanced suffix array; this
+    materialised view is what the tests check that array against. Node ids:
+    leaves are 0..n_leaves-1 in suffix-array order, internal nodes (the root
+    included) follow, with flat ``parent``, ``string_depth``, ``lml`` and
+    ``rml`` arrays. ``leaf_nodes`` and ``marked`` are the leaf node ids and
+    fresh leaf marks, as ``ancestors.solve`` reads them. Leaf origins are
+    (row, offset) with offset the 1-based position in the gaps-removed row
+    plus terminator; leaf suffix links reduce to ``leaf_for(i, p + 1)``.
+    """
+
+    def __init__(self, gst):
+        self.gst = gst
+        m = gst.msa.m
+        self.n_leaves = len(gst.sa)
+        # codes of Gst.text: terminators 1..m, then the sorted alphabet
+        self.sym_code = {c: m + 1 + idx for idx, c in enumerate(sorted(gst.msa.alphabet))}
+        self.leaf_row = np.repeat(np.arange(m, dtype=np.int32), gst.row_alpha_lens)[gst.sa]
+        self.leaf_off = gst.sa - gst.row_starts[self.leaf_row] + 1
+        parent, depth, lml, rml, root = _lcp_interval_tree(gst.lcp, self.n_leaves)
+        # leaf string depths: suffix length truncated at the row terminator
+        depth[: self.n_leaves] = gst.row_alpha_lens[self.leaf_row] - self.leaf_off + 1
+        self.parent, self.string_depth, self.lml, self.rml, self.root = parent, depth, lml, rml, root
+        self.n_nodes = len(parent)
+        self.leaf_nodes = np.arange(self.n_leaves, dtype=np.int64)
+        self.marked = np.zeros(self.n_leaves, np.bool_)
+        # one pass in leaf order lists each node's children left to right
+        self._children = [[] for _ in range(self.n_nodes)]
+        for v in np.argsort(lml, kind="stable").tolist():
+            if v != root:
+                self._children[parent[v]].append(v)
+
+    def children(self, node: int) -> list[int]:
+        """Children of a node in leaf order."""
+        return list(self._children[node])
+
+    def leaf_for(self, i: int, p: int) -> int:
+        """Leaf whose origin is (row i, gaps-removed offset p), both 1-based."""
+        gst = self.gst
+        if not 1 <= i <= gst.msa.m:
+            raise MsaError(f"row index {i} out of range [1..{gst.msa.m}]")
+        if not 1 <= p <= gst.row_alpha_lens[i - 1]:
+            raise MsaError(
+                f"offset {p} out of range [1..{gst.row_alpha_lens[i - 1]}] for row {i}"
+            )
+        return int(gst.isa[gst.row_starts[i - 1] + p - 1])
+
+    def leaf_origin(self, leaf: int) -> tuple[int, int]:
+        """(row, offset) of a leaf rank, both 1-based."""
+        return int(self.leaf_row[leaf]) + 1, int(self.leaf_off[leaf])
+
+    def path_label(self, node: int) -> str:
+        """Decoded root-to-node label (terminators shown as $<row>)."""
+        start = int(self.gst.sa[int(self.lml[node])])
+        codes = self.gst.text[start : start + int(self.string_depth[node])]
+        inv = {v: k for k, v in self.sym_code.items()}
+        return "".join(inv[c] if c in inv else f"${c}" for c in codes.tolist())
 
 
 def near_identical_msa(seed, m, n, snp_rate, gap_rate):

@@ -5,7 +5,7 @@ import pytest
 import efgseg as E
 from efgseg import oracle as O
 from efgseg.ancestors import ArrayTree, solve
-from tests.conftest import leaf_tree
+from tests.conftest import SuffixTree
 
 
 def star(n_leaves=3):
@@ -34,18 +34,18 @@ def test_full_leaf_set_returns_root():
 
 
 def test_gst_examples(msa_e):
-    gst = E.build_gst(msa_e)
+    tree = SuffixTree(E.build_gst(msa_e))
     # the two "C"/"GC" leaves have terminator twins outside L, so they are
     # their own exclusive ancestors
-    c1 = gst.leaf_for(1, 3)  # "C$1"
-    gc2 = gst.leaf_for(2, 2)  # "GC$2"
-    res = solve(leaf_tree(gst), [c1, gc2])
+    c1 = tree.leaf_for(1, 3)  # "C$1"
+    gc2 = tree.leaf_for(2, 2)  # "GC$2"
+    res = solve(tree, [c1, gc2])
     assert set(res.nodes()) == {c1, gc2}
     # both full-depth twins collapse to the internal "AGC" node
-    res = solve(leaf_tree(gst), [gst.leaf_for(1, 1), gst.leaf_for(2, 1)])
+    res = solve(tree, [tree.leaf_for(1, 1), tree.leaf_for(2, 1)])
     nodes = res.nodes()
     assert len(nodes) == 1
-    assert gst.path_label(nodes[0]) == "AGC"
+    assert tree.path_label(nodes[0]) == "AGC"
 
 
 def test_empty_query_rejected():

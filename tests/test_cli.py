@@ -100,6 +100,33 @@ def test_export_gfa_via_segmentation_file(tmp_path, capsys):
     assert gfa.count("\nS\t") == 3 and gfa.count("\nL\t") == 2 and gfa.count("\nP\t") == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "[]",
+        '"x"',
+        '{"score": 1}',
+        '{"blocks": {"start": 1, "end": 4}, "score": 1}',
+        '{"blocks": [1, 2], "score": 1}',
+        '{"blocks": [{"start": null, "end": 4}], "score": 1}',
+        '{"blocks": [{"start": 1.7, "end": 4}], "score": 1}',
+        '{"blocks": [{"start": true, "end": 4}], "score": 1}',
+        '{"blocks": [{"start": 1, "end": "4"}], "score": 1}',
+        '{"blocks": [{"start": 1}], "score": 1}',
+        '{"blocks": [{"start": 1, "end": 4}], "score": 1.0}',
+        '{"blocks": [{"start": 1, "end": 4}], "score": false}',
+        '{"blocks": [{"start": 1, "end": 4}]}',
+    ],
+)
+def test_export_rejects_malformed_segmentation(tmp_path, capsys, doc):
+    msa_path = write(tmp_path, "e.fa", E_FASTA)
+    seg_path = write(tmp_path, "seg.json", doc)
+    code, out, err = run(capsys, "export", msa_path, "--segmentation", seg_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("efgseg: error: segmentation: ")
+
+
 def test_export_default_pipeline(tmp_path, capsys):
     path = write(tmp_path, "e.fa", E_FASTA)
     code, dot, _ = run(capsys, "export", path, "--format", "dot")
@@ -154,6 +181,47 @@ def test_gen_deterministic_and_parseable(capsys):
     assert out1 == out2
     msa = parse_aligned_fasta(out1)
     assert msa.m == 3 and msa.n == 20
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--rows", "0"),
+        ("--cols", "0"),
+        ("--cols", "-3"),
+        ("--sigma", "0"),
+        ("--sigma", "25"),
+        ("--sigma", "30"),
+        ("--gap-prob", "1.0"),
+        ("--gap-prob", "0.9995"),
+        ("--gap-prob", "-0.1"),
+        ("--gap-prob", "nan"),
+    ],
+)
+def test_gen_rejects_unusable_arguments(capsys, flag, value):
+    # --cols 0 and --gap-prob 1.0 used to hang: every row is all gaps and is
+    # resampled without end
+    argv = {"--seed": "1", "--rows": "2", "--cols": "5", flag: value}
+    code, out, err = run(capsys, "gen", *[t for kv in argv.items() for t in kv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("efgseg: error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rows", "1", "--cols", "1", "--sigma", "1"],
+        ["--rows", "2", "--cols", "5", "--sigma", "24"],
+        ["--rows", "2", "--cols", "1", "--gap-prob", "0.9994"],
+        ["--rows", "2", "--cols", "5", "--gap-prob", "0"],
+    ],
+)
+def test_gen_accepts_boundary_arguments(capsys, argv):
+    code, out, _ = run(capsys, "gen", "--seed", "1", *argv)
+    assert code == 0
+    msa = parse_aligned_fasta(out)
+    assert (msa.m, msa.n) == (int(argv[1]), int(argv[3]))
 
 
 def test_validate_ok(tmp_path, capsys):

@@ -7,25 +7,25 @@ import efgseg as E
 from efgseg import extensions as X
 from efgseg import oracle as O
 from efgseg.ancestors import _ascend_run
-from efgseg.msa import Msa, MsaError, spell
-from tests.conftest import build_pipeline, near_identical_msa
+from efgseg.msa import GAP, Msa, MsaError, spell
+from tests.conftest import SuffixTree, build_pipeline, near_identical_msa
 
 
 def reference_sweep(msa, gi, gst):
-    """The column sweep as loops over the suffix tree (the tree view of gst).
+    """The column sweep as loops over the suffix tree of gst.
 
     Per column it marks the m current leaves, climbs from each contiguous
     marked run to its exclusive ancestors, and reads g off the depth of each
     ancestor's parent. Returns f.
     """
     m, n = msa.m, msa.n
-    parent, depth, leaf_row = gst.parent, gst.string_depth, gst.leaf_row
+    tree = SuffixTree(gst)
+    parent, depth, leaf_row = tree.parent, tree.string_depth, tree.leaf_row
     f = np.zeros(n, np.int64)
     fi = np.zeros(m, np.int64)
     cur_leaf = np.array([gst.isa[gst.row_starts[i]] for i in range(m)], np.int64)
     cur_off = np.ones(m, np.int64)
-    marked = np.zeros(gst.n_leaves, np.bool_)
-    leaf_nodes = np.arange(gst.n_leaves, dtype=np.int64)  # leaves are node ids 0..N-1
+    marked = tree.marked
     anc_node = np.empty(m, np.int64)
     anc_lo = np.empty(m, np.int64)
     anc_hi = np.empty(m, np.int64)
@@ -36,10 +36,10 @@ def reference_sweep(msa, gi, gst):
             if lb > 0 and marked[lb - 1]:
                 continue  # interior of a run; handled from its left boundary
             rb = lb
-            while rb + 1 < gst.n_leaves and marked[rb + 1]:
+            while rb + 1 < tree.n_leaves and marked[rb + 1]:
                 rb += 1
             count, _ = _ascend_run(
-                parent, gst.lml, gst.rml, leaf_nodes, lb, rb, anc_node, anc_lo, anc_hi
+                parent, tree.lml, tree.rml, tree.leaf_nodes, lb, rb, anc_node, anc_lo, anc_hi
             )
             for t in range(count):
                 g = depth[parent[anc_node[t]]] + 1
@@ -50,7 +50,7 @@ def reference_sweep(msa, gi, gst):
         f[x] = fi.max()
         marked[cur_leaf] = False
         for i in range(m):
-            if not gi.is_gap[i, x]:
+            if msa.rows[i][x] != GAP:
                 cur_off[i] += 1
                 cur_leaf[i] = gst.isa[gst.row_starts[i] + cur_off[i] - 1]
     return f
@@ -160,13 +160,13 @@ def test_monotone_extension_property():
                 assert checker.is_valid(x + 1, y)
 
 
-def locate_covered_leaves(gst, t):
+def locate_covered_leaves(tree, t):
     """Leaf ranks whose suffix starts with the code sequence of t (brute force)."""
-    codes = tuple(gst.sym_code[c] for c in t)
+    codes = tuple(tree.sym_code[c] for c in t)
     out = set()
-    for leaf in range(gst.n_leaves):
-        start = int(gst.sa[leaf])
-        got = tuple(gst.text[start : start + len(codes)].tolist())
+    for leaf in range(tree.n_leaves):
+        start = int(tree.gst.sa[leaf])
+        got = tuple(tree.gst.text[start : start + len(codes)].tolist())
         if got == codes:
             out.add(leaf)
     return out
@@ -177,14 +177,15 @@ def test_minimal_extension_covers_exactly_m_leaves():
     # row; any earlier y either spells an empty row string or covers more
     for seed in range(12):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 160, m=3, n=12, sigma=2))
-        gi, gst, ext = build_pipeline(msa)
+        _, gst, ext = build_pipeline(msa)
+        tree = SuffixTree(gst)
         for x in range(msa.n):
             fx = int(ext.f[x])
             if fx > msa.n:
                 continue
             covered = set()
             for i in range(1, msa.m + 1):
-                covered |= locate_covered_leaves(gst, spell(msa, i, x + 1, fx))
+                covered |= locate_covered_leaves(tree, spell(msa, i, x + 1, fx))
             assert len(covered) == msa.m, (seed, x)
             for y in range(x + 1, fx):
                 spells = [spell(msa, i, x + 1, y) for i in range(1, msa.m + 1)]
@@ -192,7 +193,7 @@ def test_minimal_extension_covers_exactly_m_leaves():
                     continue
                 covered = set()
                 for t in spells:
-                    covered |= locate_covered_leaves(gst, t)
+                    covered |= locate_covered_leaves(tree, t)
                 assert len(covered) > msa.m, (seed, x, y)
 
 

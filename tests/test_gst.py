@@ -5,57 +5,57 @@ import efgseg as E
 from efgseg import oracle as O
 from efgseg.ancestors import solve
 from efgseg.msa import Msa, MsaError
-from tests.conftest import leaf_tree
+from tests.conftest import SuffixTree
 
 
-def suffix_codes(gst, leaf):
+def suffix_codes(tree, leaf):
     """Leaf suffix as the code tuple up to and including the terminator."""
-    start = int(gst.sa[leaf])
-    return tuple(gst.text[start : start + int(gst.string_depth[leaf])].tolist())
+    start = int(tree.gst.sa[leaf])
+    return tuple(tree.gst.text[start : start + int(tree.string_depth[leaf])].tolist())
 
 
-def internal_labels(gst):
+def internal_labels(tree):
     return {
-        gst.path_label(v)
-        for v in range(gst.n_leaves, gst.n_nodes)
-        if v != gst.root
+        tree.path_label(v)
+        for v in range(tree.n_leaves, tree.n_nodes)
+        if v != tree.root
     }
 
 
 def test_two_distinct_singletons():
-    gst = E.build_gst(Msa.from_rows(["A", "C"]))
-    assert gst.n_leaves == 4
-    assert gst.n_nodes == 5  # root plus four leaf children
-    assert all(int(gst.parent[leaf]) == gst.root for leaf in range(4))
+    tree = SuffixTree(E.build_gst(Msa.from_rows(["A", "C"])))
+    assert tree.n_leaves == 4
+    assert tree.n_nodes == 5  # root plus four leaf children
+    assert all(int(tree.parent[leaf]) == tree.root for leaf in range(4))
 
 
 def test_fixture_e_structure(msa_e):
-    gst = E.build_gst(msa_e)
-    assert gst.n_leaves == 8
-    assert internal_labels(gst) == {"AGC", "C", "GC"}
+    tree = SuffixTree(E.build_gst(msa_e))
+    assert tree.n_leaves == 8
+    assert internal_labels(tree) == {"AGC", "C", "GC"}
 
 
 def test_aaa_structure(msa_aaa):
-    gst = E.build_gst(msa_aaa)
-    assert gst.n_leaves == 4
-    assert internal_labels(gst) == {"A", "AA"}
-    labels = {gst.path_label(leaf) for leaf in range(4)}
+    tree = SuffixTree(E.build_gst(msa_aaa))
+    assert tree.n_leaves == 4
+    assert internal_labels(tree) == {"A", "AA"}
+    labels = {tree.path_label(leaf) for leaf in range(4)}
     assert labels == {"$1", "A$1", "AA$1", "AAA$1"}
 
 
 def test_leaf_count_invariant():
     for seed in range(20):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed, m=4, n=18))
-        gst = E.build_gst(msa)
+        tree = SuffixTree(E.build_gst(msa))
         expected = sum(len(row.replace("-", "")) + 1 for row in msa.rows)
-        assert gst.n_leaves == expected
+        assert tree.n_leaves == expected
 
 
 def test_leaf_order_is_lexicographic():
     for seed in range(20):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 40, m=3, n=15, sigma=2))
-        gst = E.build_gst(msa)
-        suffixes = [suffix_codes(gst, leaf) for leaf in range(gst.n_leaves)]
+        tree = SuffixTree(E.build_gst(msa))
+        suffixes = [suffix_codes(tree, leaf) for leaf in range(tree.n_leaves)]
         assert suffixes == sorted(suffixes)
         assert len(set(suffixes)) == len(suffixes)
 
@@ -63,33 +63,33 @@ def test_leaf_order_is_lexicographic():
 def test_tree_shape_invariants():
     for seed in range(15):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 80, m=4, n=12, sigma=2))
-        gst = E.build_gst(msa)
-        assert int(gst.string_depth[gst.root]) == 0
-        assert int(gst.lml[gst.root]) == 0 and int(gst.rml[gst.root]) == gst.n_leaves - 1
-        for v in range(gst.n_nodes):
-            if v == gst.root:
+        tree = SuffixTree(E.build_gst(msa))
+        assert int(tree.string_depth[tree.root]) == 0
+        assert int(tree.lml[tree.root]) == 0 and int(tree.rml[tree.root]) == tree.n_leaves - 1
+        for v in range(tree.n_nodes):
+            if v == tree.root:
                 continue
-            p = int(gst.parent[v])
-            assert gst.string_depth[p] < gst.string_depth[v]
-            assert gst.lml[p] <= gst.lml[v] and gst.rml[v] <= gst.rml[p]
-        for v in range(gst.n_leaves, gst.n_nodes):
-            kids = gst.children(v)
+            p = int(tree.parent[v])
+            assert tree.string_depth[p] < tree.string_depth[v]
+            assert tree.lml[p] <= tree.lml[v] and tree.rml[v] <= tree.rml[p]
+        for v in range(tree.n_leaves, tree.n_nodes):
+            kids = tree.children(v)
             assert len(kids) >= 2
             # child intervals tile the parent interval, in order
-            cur = int(gst.lml[v])
+            cur = int(tree.lml[v])
             for c in kids:
-                assert int(gst.lml[c]) == cur
-                cur = int(gst.rml[c]) + 1
-            assert cur == int(gst.rml[v]) + 1
+                assert int(tree.lml[c]) == cur
+                cur = int(tree.rml[c]) + 1
+            assert cur == int(tree.rml[v]) + 1
 
 
 def test_internal_label_is_lcp_of_interval():
     msa = O.generate_msa(O.RandomMsaSpec(seed=5, m=3, n=14, sigma=2))
-    gst = E.build_gst(msa)
-    for v in range(gst.n_leaves, gst.n_nodes):
-        d = int(gst.string_depth[v])
-        left = suffix_codes(gst, int(gst.lml[v]))
-        right = suffix_codes(gst, int(gst.rml[v]))
+    tree = SuffixTree(E.build_gst(msa))
+    for v in range(tree.n_leaves, tree.n_nodes):
+        d = int(tree.string_depth[v])
+        left = suffix_codes(tree, int(tree.lml[v]))
+        right = suffix_codes(tree, int(tree.rml[v]))
         h = 0
         while h < min(len(left), len(right)) and left[h] == right[h]:
             h += 1
@@ -97,45 +97,44 @@ def test_internal_label_is_lcp_of_interval():
 
 
 def test_leaf_for_and_origin(msa_e):
-    gst = E.build_gst(msa_e)
-    leaf = gst.leaf_for(1, 1)
-    assert gst.path_label(leaf) == "AGC$1"
-    assert gst.leaf_origin(leaf) == (1, 1)
-    assert gst.path_label(gst.leaf_for(1, 4)) == "$1"
+    tree = SuffixTree(E.build_gst(msa_e))
+    leaf = tree.leaf_for(1, 1)
+    assert tree.path_label(leaf) == "AGC$1"
+    assert tree.leaf_origin(leaf) == (1, 1)
+    assert tree.path_label(tree.leaf_for(1, 4)) == "$1"
     with pytest.raises(MsaError):
-        gst.leaf_for(1, 5)
+        tree.leaf_for(1, 5)
     with pytest.raises(MsaError):
-        gst.leaf_for(3, 1)
+        tree.leaf_for(3, 1)
 
 
 def test_leaf_suffix_link_property():
     for seed in range(10):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 200, m=3, n=12))
-        gst = E.build_gst(msa)
+        tree = SuffixTree(E.build_gst(msa))
         for i in range(1, msa.m + 1):
-            alen = int(gst.row_alpha_lens[i - 1])
+            alen = int(tree.gst.row_alpha_lens[i - 1])
             for p in range(1, alen):
-                cur = suffix_codes(gst, gst.leaf_for(i, p))
-                nxt = suffix_codes(gst, gst.leaf_for(i, p + 1))
+                cur = suffix_codes(tree, tree.leaf_for(i, p))
+                nxt = suffix_codes(tree, tree.leaf_for(i, p + 1))
                 assert cur[1:] == nxt
 
 
 def test_leaf_for_terminator_twins_adjacent(msa_e):
     # both rows spell AGC, so their full suffixes differ only in the
     # terminator, which sorts in row order
-    gst = E.build_gst(msa_e)
-    a = gst.leaf_for(1, 1)
-    b = gst.leaf_for(2, 1)
-    assert b == a + 1 and gst.path_label(a).startswith("AGC")
+    tree = SuffixTree(E.build_gst(msa_e))
+    a = tree.leaf_for(1, 1)
+    b = tree.leaf_for(2, 1)
+    assert b == a + 1 and tree.path_label(a).startswith("AGC")
 
 
 def test_marks(msa_e):
     # ancestors.solve reads and writes the leaf marks of the suffix tree;
     # premarked ones belong to the caller and stay set
-    gst = E.build_gst(msa_e)
-    tree = leaf_tree(gst)
-    c1 = gst.leaf_for(1, 3)  # "C$1"
-    gc2 = gst.leaf_for(2, 2)  # "GC$2"
+    tree = SuffixTree(E.build_gst(msa_e))
+    c1 = tree.leaf_for(1, 3)  # "C$1"
+    gc2 = tree.leaf_for(2, 2)  # "GC$2"
     tree.marked[[c1, gc2]] = True
     res = solve(tree, [c1, gc2], premarked=True)
     assert set(res.nodes()) == {c1, gc2}

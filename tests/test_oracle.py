@@ -5,6 +5,7 @@ from efgseg import oracle as O
 from efgseg.ancestors import ArrayTree
 from efgseg.dp import Segmentation
 from efgseg.msa import Msa
+from tests.conftest import SuffixTree
 
 
 def test_segment_examples(msa_e, msa_aaa):
@@ -44,10 +45,10 @@ def test_exclusive_ancestors_examples(msa_e):
     star = ArrayTree({0: [1, 2, 3]})
     assert O.oracle_exclusive_ancestors(star, range(star.n_leaves)) == {0}
     assert O.oracle_exclusive_ancestors(star, [1]) == {star.leaf_nodes[1]}
-    gst = E.build_gst(msa_e)
-    got = O.oracle_exclusive_ancestors(gst, [gst.leaf_for(1, 1), gst.leaf_for(2, 1)])
+    tree = SuffixTree(E.build_gst(msa_e))
+    got = O.oracle_exclusive_ancestors(tree, [tree.leaf_for(1, 1), tree.leaf_for(2, 1)])
     assert len(got) == 1
-    assert gst.path_label(got.pop()) == "AGC"
+    assert tree.path_label(got.pop()) == "AGC"
 
 
 def test_efg_oracle_examples(msa_e, msa_aaa):
