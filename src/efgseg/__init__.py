@@ -3,7 +3,7 @@
 Pipeline: parse an aligned FASTA, compute the minimal semi-repeat-free
 right extension of every prefix from an enhanced suffix array, run a linear
 segmentation DP (maximize block count or minimize maximum block length),
-and build, validate, and export the induced elastic founder graph.
+and build and export the induced elastic founder graph.
 """
 
 from .ancestors import ArrayTree, ExclusiveAncestorResult, solve
@@ -21,13 +21,11 @@ from .efg import (
     Efg,
     EfgError,
     EfgNode,
-    ValidationReport,
     build_efg,
     export_dot,
     export_gfa,
     export_json,
     parse_gfa,
-    validate_semi_repeat_free,
 )
 from .extensions import ExtensionTable, compute_minimal_right_extensions
 from .gst import Gst, build_gst
@@ -56,7 +54,6 @@ __all__ = [
     "ScoreTable",
     "Segmentation",
     "UnsegmentableError",
-    "ValidationReport",
     "build_efg",
     "build_gst",
     "compute_minimal_right_extensions",
@@ -71,5 +68,4 @@ __all__ = [
     "spell",
     "to_fasta",
     "traceback",
-    "validate_semi_repeat_free",
 ]

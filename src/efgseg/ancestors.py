@@ -1,10 +1,10 @@
 """Exclusive ancestor sets on rooted ordered trees.
 
-Given a tree whose leaves are ranked left to right and a marked subset L of
-leaves, find the minimal node set covering exactly L. Works on any tree
-exposing flat parent / leaf-interval arrays, the node id of each leaf and
-an array of leaf marks (random test trees use :class:`ArrayTree`). Queries
-cost O(|L|) after the O(|tree|) array construction.
+Given a tree whose leaves are ranked left to right and a subset L of leaves,
+find the minimal node set covering exactly L. Works on any tree exposing
+flat parent / leaf-interval arrays and the node id of each leaf (random test
+trees use :class:`ArrayTree`). Queries cost O(|L| log |L|) for sorting the
+ranks plus O(|L|) for the climbs, after the O(|tree|) array construction.
 """
 
 from __future__ import annotations
@@ -14,18 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _ascend_run(parent, lml, rml, leaf_nodes, lb, rb, out_node, out_lo, out_hi):
-    """Exclusive ancestors of the contiguous marked leaf run [lb..rb].
+def _ascend_run(parent, lml, rml, leaf_nodes, lb, rb):
+    """Exclusive ancestors of the contiguous leaf run [lb..rb].
 
     Starts at the leftmost leaf and climbs while the parent's leaf interval
     stays inside the run; on failure the last safe node is emitted and the
-    climb restarts at the first uncovered leaf. Returns (count, ops).
+    climb restarts at the first uncovered leaf. Returns the emitted
+    ``[(node, (lo, hi))]`` list and the number of climb steps.
     """
-    count = 0
+    out = []
     ops = 0
     w = leaf_nodes[lb]
-    lo = lb
-    hi = lb
+    lo = hi = lb
     while True:
         wp = parent[w]
         ops += 1
@@ -34,16 +34,13 @@ def _ascend_run(parent, lml, rml, leaf_nodes, lb, rb, out_node, out_lo, out_hi):
             lo = lml[wp]
             hi = rml[wp]
         else:
-            out_node[count] = w
-            out_lo[count] = lo
-            out_hi[count] = hi
-            count += 1
+            out.append((int(w), (int(lo), int(hi))))
             if hi + 1 > rb:
                 break
             lo = hi + 1
             hi = lo
             w = leaf_nodes[lo]
-    return count, ops
+    return out, ops
 
 
 @dataclass
@@ -103,27 +100,17 @@ class ArrayTree:
             else:
                 self.lml[v] = self.lml[self._children[v][0]]
                 self.rml[v] = self.rml[self._children[v][-1]]
-        self.marked = np.zeros(self.n_leaves, np.bool_)
 
     def children(self, node: int) -> list[int]:
         return list(self._children[node])
 
-    def mark(self, rank: int):
-        self.marked[rank] = True
 
-    def unmark(self, rank: int):
-        self.marked[rank] = False
-
-    def is_marked(self, rank: int) -> bool:
-        return bool(self.marked[rank])
-
-
-def solve(tree, leaf_ranks, premarked: bool = False) -> ExclusiveAncestorResult:
+def solve(tree, leaf_ranks) -> ExclusiveAncestorResult:
     """Minimal node set covering exactly the query leaves.
 
-    ``leaf_ranks`` are leaf positions in left-to-right order. Marks are set
-    and cleared here unless the caller already marked them (premarked=True).
-    Querying all leaves returns the root.
+    ``leaf_ranks`` are leaf positions in left-to-right order. Once sorted,
+    consecutive ranks form the contiguous runs, and each run is climbed
+    once. Querying all leaves returns the root.
     """
     ranks = sorted(set(int(r) for r in leaf_ranks))
     if not ranks:
@@ -134,38 +121,16 @@ def solve(tree, leaf_ranks, premarked: bool = False) -> ExclusiveAncestorResult:
         return ExclusiveAncestorResult(
             runs=[[(int(tree.root), (0, tree.n_leaves - 1))]], op_count=len(ranks)
         )
-    marked = tree.marked
-    if not premarked:
-        for r in ranks:
-            marked[r] = True
-    cap = len(ranks)
-    out_node = np.empty(cap, np.int64)
-    out_lo = np.empty(cap, np.int64)
-    out_hi = np.empty(cap, np.int64)
     runs = []
     ops = 0
-    try:
-        for r in ranks:
-            ops += 1
-            if r > 0 and marked[r - 1]:
-                continue  # not a run start
-            rb = r
-            while rb + 1 < tree.n_leaves and marked[rb + 1]:
-                rb += 1
-                ops += 1
-            count, o = _ascend_run(
-                tree.parent, tree.lml, tree.rml, tree.leaf_nodes,
-                r, rb, out_node, out_lo, out_hi,
-            )
-            ops += o
-            runs.append(
-                [
-                    (int(out_node[t]), (int(out_lo[t]), int(out_hi[t])))
-                    for t in range(count)
-                ]
-            )
-    finally:
-        if not premarked:
-            for r in ranks:
-                marked[r] = False
+    lb = ranks[0]
+    for r, nxt in zip(ranks, ranks[1:] + [None]):
+        ops += 1
+        if nxt == r + 1:
+            ops += 1  # the run goes on
+            continue
+        run, o = _ascend_run(tree.parent, tree.lml, tree.rml, tree.leaf_nodes, lb, r)
+        runs.append(run)
+        ops += o
+        lb = nxt
     return ExclusiveAncestorResult(runs=runs, op_count=ops)

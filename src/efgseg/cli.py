@@ -23,7 +23,7 @@ from .dp import (
     score_min_max_length,
     traceback,
 )
-from .efg import build_efg, export_dot, export_gfa, export_json, validate_semi_repeat_free
+from .efg import build_efg, export_dot, export_gfa, export_json
 from .extensions import ExtensionTable, compute_minimal_right_extensions
 from .gst import build_gst
 from .msa import GapIndex, Msa, MsaError, parse_aligned_fasta, to_fasta
@@ -61,17 +61,20 @@ def _load_msa(path: str) -> Msa:
     return parse_aligned_fasta(_read_input(path))
 
 
-def _pipeline(msa: Msa):
-    gi = GapIndex(msa)
-    gst = build_gst(msa)
-    ext = compute_minimal_right_extensions(msa, gi, gst)
-    return gi, gst, ext
+def _pipeline(msa: Msa) -> ExtensionTable:
+    return compute_minimal_right_extensions(msa, GapIndex(msa), build_gst(msa))
 
 
 def _score(ext: ExtensionTable, scheme: str, n: int) -> ScoreTable:
     if scheme == MAXBLOCKS:
         return score_max_blocks(ext)
     return score_min_max_length(ext.pairs_by_f(), n)
+
+
+def _segmentation(msa: Msa, scheme: str) -> Segmentation:
+    """Optimal segmentation; raises UnsegmentableError when s(n) is a sentinel."""
+    ext = _pipeline(msa)
+    return traceback(_score(ext, scheme, msa.n), ext)
 
 
 def segmentation_to_json(seg: Segmentation) -> str:
@@ -120,7 +123,7 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
     """
     issues: list[str] = []
     if ext is None:
-        _, _, ext = _pipeline(msa)
+        ext = _pipeline(msa)
     checker = oracle.SegmentChecker(msa)
     for x in range(msa.n):
         want = oracle.oracle_minimal_right_extension(msa, x, checker)
@@ -139,13 +142,11 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
         achieved = seg.b if scheme == MAXBLOCKS else seg.max_block_length()
         if achieved != table.score():
             issues.append(f"{scheme}: traceback achieves {achieved}, table says {table.score()}")
-        for a, b in seg.blocks:
-            if not checker.is_valid(a, b):
-                issues.append(f"{scheme}: traceback segment [{a}..{b}] is not semi-repeat-free")
-        report = validate_semi_repeat_free(msa, seg)
-        if not report.ok:
-            v = report.violations[0]
-            issues.append(f"{scheme}: validator flags segment {v.segment} (row {v.row})")
+        bad = [(a, b) for a, b in seg.blocks if not checker.is_valid(a, b)]
+        for a, b in bad:
+            issues.append(f"{scheme}: traceback segment [{a}..{b}] is not semi-repeat-free")
+        if bad:
+            continue  # a row may spell nothing in a bad block, so no graph is built
         efg = build_efg(msa, seg)
         total = sum(len(nd.label) for block in efg.blocks for nd in block)
         if not oracle.oracle_efg_semi_repeat_free(efg, total):
@@ -174,7 +175,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_extensions(args) -> int:
     msa = _load_msa(args.input)
-    _, _, ext = _pipeline(msa)
+    ext = _pipeline(msa)
     lines = "".join(f"{x}\t{int(ext.f[x])}\n" for x in range(msa.n))
     _write_output(args.output, lines)
     return EXIT_OK
@@ -182,9 +183,7 @@ def _cmd_extensions(args) -> int:
 
 def _cmd_segment(args) -> int:
     msa = _load_msa(args.input)
-    _, _, ext = _pipeline(msa)
-    table = _score(ext, args.score, msa.n)
-    seg = traceback(table, ext)  # raises UnsegmentableError when s(n) is a sentinel
+    seg = _segmentation(msa, args.score)
     text = segmentation_to_json(seg)
     if args.emit_graph:
         # the graph's JSON goes in one level deeper as key "graph", which
@@ -201,8 +200,7 @@ def _cmd_export(args) -> int:
     if args.segmentation:
         seg = segmentation_from_json(_read_input(args.segmentation))
     else:
-        _, _, ext = _pipeline(msa)
-        seg = traceback(_score(ext, args.score, msa.n), ext)
+        seg = _segmentation(msa, args.score)
     efg = build_efg(msa, seg)
     text = {"gfa": export_gfa, "dot": export_dot, "json": export_json}[args.format](efg)
     _write_output(args.output, text)
@@ -224,9 +222,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     msa = _load_msa(args.input)
-    _, _, ext = _pipeline(msa)
-    table = _score(ext, args.score, msa.n)
-    seg = traceback(table, ext)
+    seg = _segmentation(msa, args.score)
     efg = build_efg(msa, seg)
     doc = {
         "m": msa.m,

@@ -1,4 +1,4 @@
-"""Elastic founder graph induced by a segmentation: build, validate, export.
+"""Elastic founder graph induced by a segmentation: build and export.
 
 Nodes are the distinct gaps-removed row strings per segment, identified by
 (block, label-lexicographic rank); edges are row-witnessed pairs between
@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .dp import Segmentation
-from .msa import GAP, GapIndex, Msa, spell
+from .msa import GAP, Msa
 
 
 class EfgError(ValueError):
@@ -113,8 +113,7 @@ def build_efg(msa: Msa, seg: Segmentation) -> Efg:
             raise EfgError("segmentation intervals are not consecutive")
     if any(x > y for x, y in seg.blocks):
         raise EfgError("segmentation has an empty interval")
-    rows, m, b = msa.rows, msa.m, len(seg.blocks)
-    cells = np.frombuffer("".join(rows).encode("ascii"), np.uint8).reshape(m, msa.n)
+    rows, m, b, cells = msa.rows, msa.m, len(seg.blocks), msa.cells
     starts = [x - 1 for x, _ in seg.blocks]
     # differs[k, i]: in block k + 1, row i + 1's gapped slice is not row 1's
     differs = ~np.logical_and.reduceat(cells == cells[0], starts, axis=1).T
@@ -169,54 +168,6 @@ def _edges(cols: np.ndarray, ids: list[list[str]], widths: list[int], w: int):
     tail = offset[block] + rest // w
     head = offset[block + 1] + rest % w
     return sorted(zip(map(flat.__getitem__, tail.tolist()), map(flat.__getitem__, head.tolist())))
-
-
-# -- validation ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Violation:
-    segment: tuple[int, int]
-    row: int  # row whose segment string reoccurs
-    in_row: int  # row containing the stray occurrence
-    position: int  # 1-based gaps-removed position of that occurrence
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_semi_repeat_free(msa: Msa, seg: Segmentation) -> ValidationReport:
-    """Per-segment check: each row's segment string may occur in any
-    gaps-removed row only at that row's segment start position."""
-    gi = GapIndex(msa)
-    full = [spell(msa, i, 1, msa.n) for i in range(1, msa.m + 1)]
-    violations: list[Violation] = []
-    for x, y in seg.blocks:
-        for i in range(1, msa.m + 1):
-            t = spell(msa, i, x, y)
-            if not t:
-                violations.append(Violation(segment=(x, y), row=i, in_row=i, position=0))
-                continue
-            for ip in range(1, msa.m + 1):
-                req = gi.segment_start_pos(ip, x)
-                hay = full[ip - 1]
-                start = 0
-                while True:
-                    p = hay.find(t, start)
-                    if p == -1:
-                        break
-                    if p + 1 != req:
-                        violations.append(
-                            Violation(segment=(x, y), row=i, in_row=ip, position=p + 1)
-                        )
-                    start = p + 1
-    return ValidationReport(violations=violations)
 
 
 # -- exports ------------------------------------------------------------------

@@ -64,9 +64,6 @@ class ExtensionTable:
         xs = np.argsort(self.f, kind="stable")
         return xs, self.f[xs]
 
-    def __getitem__(self, x: int) -> int:
-        return int(self.f[x])
-
 
 def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> ExtensionTable:
     """f(x) = least y > x such that columns [x+1..y] form a semi-repeat-free

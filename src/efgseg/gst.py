@@ -29,8 +29,7 @@ class Gst:
 
     def __init__(self, msa: Msa):
         m = msa.m
-        cells = np.frombuffer("".join(msa.rows).encode("ascii"), np.uint8).reshape(m, msa.n)
-        nongap = cells != ord(GAP)
+        nongap = msa.cells != ord(GAP)
         spell_lens = np.count_nonzero(nongap, axis=1)
         check_size_limits(msa.n, int(spell_lens.sum()) + m)
         sigma = sorted(msa.alphabet)
@@ -46,9 +45,9 @@ class Gst:
         text = np.empty(int(row_alpha_lens.sum()), np.int32)
         is_symbol = np.ones(len(text), np.bool_)
         is_symbol[terminators] = False
-        text[is_symbol] = code_of[cells[nongap]]
+        text[is_symbol] = code_of[msa.cells[nongap]]
         text[terminators] = np.arange(1, m + 1)  # terminator of row i+1
-        del cells, nongap, is_symbol
+        del nongap, is_symbol
 
         sa, lcp, isa = enhanced_suffix_array(text, alphabet_size)
 

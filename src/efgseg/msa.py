@@ -1,9 +1,9 @@
 """MSA data model, aligned-FASTA ingestion, and gap-aware coordinate mapping.
 
 Rows and columns are 1-based and inclusive throughout the public API, which
-is the native coordinate system of alignment formats. Column 0 is accepted
-by rank queries as the empty prefix; column ``n + 1`` acts as the virtual
-terminator column for select/start queries.
+is the native coordinate system of alignment formats. The rank arrays hold
+column 0 as the empty prefix; the select arrays use column ``n + 1`` as the
+virtual terminator column past the end of a row.
 """
 
 from __future__ import annotations
@@ -50,11 +50,14 @@ class Msa:
     """A gapped multiple sequence alignment: m rows of equal length n.
 
     Rows hold GAP and printable ASCII symbols other than '>' and '.'.
+    ``cells`` is the read-only ``(m, n)`` uint8 matrix of the row bytes,
+    which the gap index, the suffix array and the graph build read.
     """
 
     rows: tuple[str, ...]
     names: tuple[str, ...]
     alphabet: frozenset[str] = field(init=False)
+    cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows:
@@ -74,11 +77,13 @@ class Msa:
                 raise MsaError(f"row '{name}' contains invalid symbol {bad!r}")
             if row.count(GAP) == n:
                 raise MsaError(f"row '{name}' consists only of gap symbols")
+        cells = np.frombuffer("".join(self.rows).encode("ascii"), np.uint8).reshape(-1, n)
         # a boolean scatter, not np.bincount, which copies the bytes to intp first
         seen = np.zeros(128, np.bool_)
-        seen[np.frombuffer("".join(self.rows).encode("ascii"), np.uint8)] = True
+        seen[cells] = True
         sigma = frozenset(map(chr, np.flatnonzero(seen).tolist())) - {GAP}
         object.__setattr__(self, "alphabet", sigma)
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_rows(cls, rows, names=None) -> "Msa":
@@ -95,12 +100,6 @@ class Msa:
     @property
     def n(self) -> int:
         return len(self.rows[0])
-
-    def row(self, i: int) -> str:
-        """Row i (1-based)."""
-        if not 1 <= i <= self.m:
-            raise MsaError(f"row index {i} out of range [1..{self.m}]")
-        return self.rows[i - 1]
 
 
 def parse_aligned_fasta(data: str | bytes) -> Msa:
@@ -151,21 +150,19 @@ def spell(msa: Msa, i: int, x: int, y: int) -> str:
 
 
 class GapIndex:
-    """Constant-time rank/select over the non-gap positions of each row.
+    """Rank/select arrays over the non-gap positions of each row.
 
     Maps between alignment columns and positions in the gaps-removed rows.
     Backed by int32 arrays: per-row prefix sums of the non-gap flags
-    (``rank2d``), the columns of each row's non-gaps (``sel2d``) and each
-    row's non-gap count (``spell_lens``).
+    (``rank2d``), the columns of each row's non-gaps, padded with n + 1
+    (``sel2d``), and each row's non-gap count (``spell_lens``).
     """
 
     def __init__(self, msa: Msa):
         m, n = msa.m, msa.n
         check_size_limits(n, sum(len(row) - row.count(GAP) for row in msa.rows) + m)
         self.m, self.n = m, n
-        nongap = np.zeros((m, n), dtype=np.bool_)
-        for i, row in enumerate(msa.rows):
-            nongap[i] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) != ord(GAP)
+        nongap = msa.cells != ord(GAP)
         # rank2d[i, x] = number of non-gaps in row i+1, columns [1..x]
         self.rank2d = np.zeros((m, n + 1), dtype=np.int32)
         np.cumsum(nongap, axis=1, out=self.rank2d[:, 1:])
@@ -176,34 +173,3 @@ class GapIndex:
         for i in range(m):
             cols = np.flatnonzero(nongap[i]) + 1
             self.sel2d[i, 1 : len(cols) + 1] = cols
-
-    def _check_row(self, i: int):
-        if not 1 <= i <= self.m:
-            raise MsaError(f"row index {i} out of range [1..{self.m}]")
-
-    def non_gap_rank(self, i: int, x: int) -> int:
-        """Number of non-gap symbols in row i, columns [1..x]; x = 0 gives 0."""
-        self._check_row(i)
-        if not 0 <= x <= self.n:
-            raise MsaError(f"column {x} out of range [0..{self.n}]")
-        return int(self.rank2d[i - 1, x])
-
-    def non_gap_select(self, i: int, k: int) -> int:
-        """Column of the k-th non-gap symbol of row i, or n+1 past the end."""
-        self._check_row(i)
-        if k < 1:
-            raise MsaError(f"select count {k} must be >= 1")
-        if k > self.spell_lens[i - 1]:
-            return self.n + 1
-        return int(self.sel2d[i - 1, k])
-
-    def segment_start_pos(self, i: int, x: int) -> int:
-        """Gaps-removed start position of the suffix of row i at column x.
-
-        Equals the number of non-gaps in [1..x-1] plus one; x = n + 1 names
-        the terminator position one past the gaps-removed row.
-        """
-        self._check_row(i)
-        if not 1 <= x <= self.n + 1:
-            raise MsaError(f"column {x} out of range [1..{self.n + 1}]")
-        return int(self.rank2d[i - 1, x - 1]) + 1

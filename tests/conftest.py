@@ -90,8 +90,8 @@ class SuffixTree:
     materialised view is what the tests check that array against. Node ids:
     leaves are 0..n_leaves-1 in suffix-array order, internal nodes (the root
     included) follow, with flat ``parent``, ``string_depth``, ``lml`` and
-    ``rml`` arrays. ``leaf_nodes`` and ``marked`` are the leaf node ids and
-    fresh leaf marks, as ``ancestors.solve`` reads them. Leaf origins are
+    ``rml`` arrays. ``leaf_nodes`` are the leaf node ids, as
+    ``ancestors.solve`` reads them. Leaf origins are
     (row, offset) with offset the 1-based position in the gaps-removed row
     plus terminator; leaf suffix links reduce to ``leaf_for(i, p + 1)``.
     """
@@ -110,7 +110,6 @@ class SuffixTree:
         self.parent, self.string_depth, self.lml, self.rml, self.root = parent, depth, lml, rml, root
         self.n_nodes = len(parent)
         self.leaf_nodes = np.arange(self.n_leaves, dtype=np.int64)
-        self.marked = np.zeros(self.n_leaves, np.bool_)
         # one pass in leaf order lists each node's children left to right
         self._children = [[] for _ in range(self.n_nodes)]
         for v in np.argsort(lml, kind="stable").tolist():

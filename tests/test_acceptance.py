@@ -21,7 +21,7 @@ from tests.conftest import build_pipeline
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def jit_warmup():
+def warmup():
     msa = E.parse_aligned_fasta(">r1\nAG-C\n>r2\nA-GC\n")
     _, _, ext = build_pipeline(msa)
     score_max_blocks(ext)
@@ -42,7 +42,7 @@ def spec_stream(count, base_seed, max_m, max_n):
 
 
 def test_c1_extension_correctness():
-    jit_warmup()
+    warmup()
     t0 = time.perf_counter()
     checked = 0
     for spec in spec_stream(1000, base_seed=100_000, max_m=8, max_n=40):
@@ -187,7 +187,7 @@ def test_c7_linear_scaling():
     # identical input lets the branch predictor memorize short inputs'
     # branch sequences, which deflates small-n timings by 2-3x and corrupts
     # the doubling ratios.
-    jit_warmup()
+    warmup()
     m = 16
     sizes = [2048, 4096, 8192, 16384]
     variants = 6
@@ -203,7 +203,7 @@ def test_c7_linear_scaling():
 
     inputs = {}
     for n in sizes:
-        build_pipeline(datasets[n][0])  # warm the compiled path for this shape
+        build_pipeline(datasets[n][0])  # one untimed run at this size
         pairs_sets = []
         for msa in datasets[n]:
             gi = E.GapIndex(msa)

@@ -55,23 +55,6 @@ def test_empty_query_rejected():
         solve(star(), [99])
 
 
-def test_premarked_leaves_are_respected():
-    tree = star(4)
-    for r in (0, 2):
-        tree.mark(r)
-    res = solve(tree, [0, 2], premarked=True)
-    assert set(res.nodes()) == {tree.leaf_nodes[0], tree.leaf_nodes[2]}
-    assert tree.is_marked(0) and tree.is_marked(2)  # caller owns the marks
-    tree.unmark(0)
-    tree.unmark(2)
-
-
-def test_solver_unmarks_after_itself():
-    tree = star(4)
-    solve(tree, [1, 3])
-    assert not tree.marked.any()
-
-
 def test_array_tree_validation():
     with pytest.raises(ValueError, match="single child"):
         ArrayTree({0: [1], 1: []})

@@ -267,6 +267,16 @@ def test_cross_check_reports_injected_mismatch():
     assert "x=1" in issues[0]
 
 
+def test_cross_check_reports_block_where_a_row_spells_nothing():
+    # f(2) = 3 lets traceback cut [3..3], where row 1 is a gap: the check
+    # reports the block instead of building its graph
+    msa = parse_aligned_fasta(E_FASTA)
+    tampered = ExtensionTable(f=np.array([1, 3, 3, 4], dtype=np.int64), n=4, op_count=0)
+    issues = cli.cross_check(msa, ext=tampered)
+    assert any("x=2" in line for line in issues), issues
+    assert any("[3..3]" in line for line in issues), issues
+
+
 def test_validate_exit_code_on_mismatch(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "e.fa", E_FASTA)
     monkeypatch.setattr(cli, "cross_check", lambda msa: ["extensions: x=0 synthetic"])

@@ -19,7 +19,6 @@ from efgseg.efg import (
     export_gfa,
     export_json,
     parse_gfa,
-    validate_semi_repeat_free,
 )
 from efgseg.msa import Msa, spell
 from tests.conftest import build_pipeline, near_identical_msa
@@ -90,44 +89,6 @@ def test_every_row_spelled_by_its_path():
         for name, ids in efg.paths:
             i = msa.names.index(name) + 1
             assert "".join(nodes[v].label for v in ids) == spell(msa, i, 1, msa.n)
-
-
-def test_validator_fixture_e(msa_e):
-    report = validate_semi_repeat_free(msa_e, seg_of([(1, 1), (2, 3), (4, 4)]))
-    assert report.ok
-
-
-def test_validator_flags_periodic_columns(msa_aaa):
-    report = validate_semi_repeat_free(msa_aaa, seg_of([(1, 1), (2, 2), (3, 3)]))
-    assert not report.ok
-    first = report.violations[0]
-    assert first.segment == (1, 1)
-    assert first.position in (2, 3)
-
-
-def test_validator_distinct_blocks_single_row():
-    msa = Msa.from_rows(["ABCDEF"])
-    report = validate_semi_repeat_free(msa, seg_of([(1, 2), (3, 4), (5, 6)]))
-    assert report.ok
-
-
-def test_validator_agrees_with_graph_oracle():
-    # segment-level verdicts and the bounded graph-level check must agree
-    for seed in range(40):
-        rng = random.Random(seed * 7)
-        msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 400, m=3, n=10, sigma=2))
-        cuts = sorted(rng.sample(range(1, msa.n), rng.randint(0, 3)))
-        blocks = []
-        prev = 1
-        for c in cuts + [msa.n]:
-            blocks.append((prev, c))
-            prev = c + 1
-        if any(not spell(msa, i, a, b) for a, b in blocks for i in range(1, msa.m + 1)):
-            continue
-        seg = seg_of(blocks)
-        efg = build_efg(msa, seg)
-        total = sum(len(nd.label) for block in efg.blocks for nd in block)
-        assert validate_semi_repeat_free(msa, seg).ok == O.oracle_efg_semi_repeat_free(efg, total)
 
 
 def test_gfa_export_shape(msa_e):

@@ -25,10 +25,7 @@ def reference_sweep(msa, gi, gst):
     fi = np.zeros(m, np.int64)
     cur_leaf = np.array([gst.isa[gst.row_starts[i]] for i in range(m)], np.int64)
     cur_off = np.ones(m, np.int64)
-    marked = tree.marked
-    anc_node = np.empty(m, np.int64)
-    anc_lo = np.empty(m, np.int64)
-    anc_hi = np.empty(m, np.int64)
+    marked = np.zeros(tree.n_leaves, np.bool_)
     for x in range(n):
         marked[cur_leaf] = True
         for i in range(m):
@@ -38,12 +35,10 @@ def reference_sweep(msa, gi, gst):
             rb = lb
             while rb + 1 < tree.n_leaves and marked[rb + 1]:
                 rb += 1
-            count, _ = _ascend_run(
-                parent, tree.lml, tree.rml, tree.leaf_nodes, lb, rb, anc_node, anc_lo, anc_hi
-            )
-            for t in range(count):
-                g = depth[parent[anc_node[t]]] + 1
-                for q in range(anc_lo[t], anc_hi[t] + 1):
+            run, _ = _ascend_run(parent, tree.lml, tree.rml, tree.leaf_nodes, lb, rb)
+            for node, (lo, hi) in run:
+                g = depth[parent[node]] + 1
+                for q in range(lo, hi + 1):
                     r = leaf_row[q]
                     k = gi.rank2d[r, x] + g
                     fi[r] = gi.sel2d[r, k] if k <= gi.spell_lens[r] else n + 1

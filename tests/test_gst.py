@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 import efgseg as E
 from efgseg import oracle as O
-from efgseg.ancestors import solve
 from efgseg.msa import Msa, MsaError
 from tests.conftest import SuffixTree
 
@@ -128,17 +126,3 @@ def test_leaf_for_terminator_twins_adjacent(msa_e):
     b = tree.leaf_for(2, 1)
     assert b == a + 1 and tree.path_label(a).startswith("AGC")
 
-
-def test_marks(msa_e):
-    # ancestors.solve reads and writes the leaf marks of the suffix tree;
-    # premarked ones belong to the caller and stay set
-    tree = SuffixTree(E.build_gst(msa_e))
-    c1 = tree.leaf_for(1, 3)  # "C$1"
-    gc2 = tree.leaf_for(2, 2)  # "GC$2"
-    tree.marked[[c1, gc2]] = True
-    res = solve(tree, [c1, gc2], premarked=True)
-    assert set(res.nodes()) == {c1, gc2}
-    assert np.flatnonzero(tree.marked).tolist() == sorted([c1, gc2])
-    tree.marked[:] = False
-    solve(tree, [c1, gc2])
-    assert not tree.marked.any()

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,33 +189,14 @@ def test_spell_range_errors(msa_e):
         spell(msa_e, 1, 1, 5)
 
 
-def test_rank_examples(msa_e):
-    gi = GapIndex(msa_e)
-    assert gi.non_gap_rank(1, 3) == 2  # "AG-C"
-    assert gi.non_gap_rank(2, 0) == 0
-    assert gi.non_gap_rank(2, 4) == 3
-    with pytest.raises(MsaError):
-        gi.non_gap_rank(1, 5)
-    with pytest.raises(MsaError):
-        gi.non_gap_rank(0, 1)
-
-
-def test_select_examples(msa_e):
-    gi = GapIndex(msa_e)
-    assert gi.non_gap_select(1, 3) == 4
-    assert gi.non_gap_select(1, 4) == 5  # n + 1 sentinel
-    assert gi.non_gap_select(2, 2) == 3
-    with pytest.raises(MsaError):
-        gi.non_gap_select(1, 0)
-
-
-def test_segment_start_pos_examples(msa_e):
-    gi = GapIndex(msa_e)
-    assert gi.segment_start_pos(2, 2) == 2  # suffix "GC" of row 2
-    assert gi.segment_start_pos(1, 1) == 1
-    assert gi.segment_start_pos(2, 5) == 4  # one past the end
-    with pytest.raises(MsaError):
-        gi.segment_start_pos(1, 6)
+def test_gap_index_arrays_fixture_e(msa_e):
+    gi = GapIndex(msa_e)  # rows "AG-C" and "A-GC"
+    assert msa_e.cells.tolist() == [list(b"AG-C"), list(b"A-GC")]
+    assert not msa_e.cells.flags.writeable
+    assert gi.rank2d.dtype == gi.sel2d.dtype == gi.spell_lens.dtype == np.int32
+    assert gi.rank2d.tolist() == [[0, 1, 2, 2, 3], [0, 1, 1, 2, 3]]
+    assert gi.sel2d.tolist() == [[5, 1, 2, 4], [5, 1, 3, 4]]  # unused slots hold n + 1
+    assert gi.spell_lens.tolist() == [3, 3]
 
 
 def test_rank_select_consistency_random():
@@ -222,30 +204,21 @@ def test_rank_select_consistency_random():
         rng = random.Random(seed)
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed, m=rng.randint(1, 5), n=rng.randint(1, 30)))
         gi = GapIndex(msa)
-        for i in range(1, msa.m + 1):
-            row = msa.row(i)
-            assert gi.non_gap_rank(i, msa.n) == len(row.replace(GAP, ""))
-            for x in range(1, msa.n + 1):
-                r = gi.non_gap_rank(i, x)
+        n = msa.n
+        assert gi.rank2d.shape == (msa.m, n + 1)
+        assert gi.sel2d.shape == (msa.m, int(gi.spell_lens.max()) + 1)
+        for i, row in enumerate(msa.rows):
+            rank, sel, length = gi.rank2d[i].tolist(), gi.sel2d[i].tolist(), int(gi.spell_lens[i])
+            assert rank[0] == 0
+            assert rank[n] == length == len(row.replace(GAP, ""))
+            for x in range(1, n + 1):
+                assert rank[x] == rank[x - 1] + (row[x - 1] != GAP)  # one step per non-gap
+                r = rank[x]
                 if r > 0:
-                    sel = gi.non_gap_select(i, r)
-                    assert sel <= x
-                    assert (sel == x) == (row[x - 1] != GAP)
-
-
-def test_segment_start_monotone_random():
-    for seed in range(20):
-        msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 100, m=3, n=25))
-        gi = GapIndex(msa)
-        for i in range(1, msa.m + 1):
-            row = msa.row(i)
-            prev = gi.segment_start_pos(i, 1)
-            assert prev == 1
-            for x in range(2, msa.n + 2):
-                cur = gi.segment_start_pos(i, x)
-                step = 1 if row[x - 2] != GAP else 0
-                assert cur == prev + step
-                prev = cur
+                    assert sel[r] <= x
+                    assert (sel[r] == x) == (row[x - 1] != GAP)
+            assert sel[1 : length + 1] == [x for x in range(1, n + 1) if row[x - 1] != GAP]
+            assert sel[length + 1 :] == [n + 1] * (len(sel) - length - 1)
 
 
 def test_spell_concatenation_random():
