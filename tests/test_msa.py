@@ -221,6 +221,22 @@ def test_rank_select_consistency_random():
             assert sel[length + 1 :] == [n + 1] * (len(sel) - length - 1)
 
 
+def test_segment_start_monotone_random():
+    # the spelling of a segment [x, y] of row i starts at position rank2d[i, x - 1] + 1
+    for seed in range(20):
+        msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 100, m=3, n=25))
+        gi = GapIndex(msa)
+        for i in range(1, msa.m + 1):
+            row = msa.rows[i - 1]
+            prev = int(gi.rank2d[i - 1, 0]) + 1
+            assert prev == 1
+            for x in range(2, msa.n + 2):
+                cur = int(gi.rank2d[i - 1, x - 1]) + 1
+                step = 1 if row[x - 2] != GAP else 0
+                assert cur == prev + step
+                prev = cur
+
+
 def test_spell_concatenation_random():
     msa = O.generate_msa(O.RandomMsaSpec(seed=7, m=4, n=20))
     for i in range(1, msa.m + 1):
