@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 oracle cross-check mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -238,7 +239,10 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _make_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it between calls."""
     p = _Parser(prog="efgseg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -286,8 +290,7 @@ def _make_parser() -> _Parser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("EFGSEG_LOG", "WARNING").upper())
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnsegmentableError as exc:

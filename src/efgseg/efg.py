@@ -8,7 +8,7 @@ identical inputs; GFA is the stability contract.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -37,23 +37,32 @@ class EfgNode:
     rows: tuple[int, ...]  # 1-based source rows
 
 
-@dataclass
+@dataclass(eq=False)
 class Efg:
-    """The graph as per-block columns.
+    """The graph as per-block node lists and one rank matrix.
 
     Node r of block k (1-based) has label ``labels[k - 1][r]`` and id
     ``ids[k - 1][r]`` (``b<k>_<r>``); row i passes through the node of rank
-    ``columns[k - 1][i - 1]``. ``build_efg`` fills ``columns`` from a
-    ``(b, m)`` rank matrix. ``blocks`` builds one ``EfgNode`` per node on
-    first access; no export asks for it.
+    ``ranks[k - 1, i - 1]``. Counting the nodes of earlier blocks first,
+    that node is node number ``sum(widths[:k - 1]) + r`` of the graph: the
+    exporters render one string per node and index it with these numbers.
+    ``blocks`` (one ``EfgNode`` per node) is built on first access; no
+    export asks for it.
     """
 
     labels: list[list[str]]  # per block, its distinct labels in sorted order
     ids: list[list[str]]  # per block, the id of each node, by rank
-    columns: list[list[int]]  # per block, the node rank of each row
+    ranks: np.ndarray  # (b, m) int64: per block, the node rank of each row
     names: list[str]  # row names
     edges: list[tuple[str, str]]
     intervals: list[tuple[int, int]]  # column interval per block
+
+    def __eq__(self, other):
+        if not isinstance(other, Efg):
+            return NotImplemented
+        return (self.labels, self.ids, self.names, self.edges, self.intervals) == (
+            other.labels, other.ids, other.names, other.edges, other.intervals
+        ) and np.array_equal(self.ranks, other.ranks)
 
     @property
     def b(self) -> int:
@@ -63,37 +72,50 @@ class Efg:
     def n_nodes(self) -> int:
         return sum(map(len, self.labels))
 
+    def node_numbers(self) -> np.ndarray:
+        """The (b, m) matrix of the node number of each row in each block."""
+        offsets = np.cumsum([0, *map(len, self.labels)], dtype=np.int64)[:-1]
+        return self.ranks + offsets[:, None]
+
+    def row_steps(self, node_values: list) -> list[list]:
+        """Per row, node_values[g] for the number g of each node on its path."""
+        b, m = self.ranks.shape
+        flat = _take(node_values, self.node_numbers().T.ravel())
+        return [flat[i * b : (i + 1) * b] for i in range(m)]
+
+    def node_rows(self) -> tuple[np.ndarray, list[int]]:
+        """(rows, bounds): node number g holds the 0-based rows
+        ``rows[bounds[g]:bounds[g + 1]]``, ascending."""
+        numbers = self.node_numbers().ravel()
+        # numbers[k * m + i] is row i's node in block k, and each block has
+        # its own numbers, so a stable sort keeps each node's rows ascending
+        rows = np.argsort(numbers, kind="stable") % self.ranks.shape[1]
+        counts = np.bincount(numbers, minlength=self.n_nodes)
+        return rows, [0, *np.cumsum(counts).tolist()]
+
     @property
     def paths(self) -> list[tuple[str, list[str]]]:
         """(row name, node ids) per row."""
-        return [(name, list(steps)) for name, steps in zip(self.names, self.row_steps(self.ids))]
-
-    def row_steps(self, node_values: list[list]) -> Iterable[tuple]:
-        """Per row, one tuple holding node_values[k - 1][r] for the node r the
-        row passes in each block k."""
-        if not self.columns:
-            return [()] * len(self.names)
-        return zip(*[list(map(v.__getitem__, col)) for v, col in zip(node_values, self.columns)])
-
-    def node_rows(self, row_values: Sequence) -> list[list[list]]:
-        """Per block and node, row_values[i - 1] for each row i through the
-        node, in row order."""
-        out = []
-        for labels, col in zip(self.labels, self.columns):
-            rows: list[list] = [[] for _ in labels]
-            for v, r in zip(row_values, col):
-                rows[r].append(v)
-            out.append(rows)
-        return out
+        return list(zip(self.names, self.row_steps([v for ids in self.ids for v in ids])))
 
     @cached_property
     def blocks(self) -> list[list[EfgNode]]:
-        node_rows = self.node_rows(range(1, len(self.names) + 1))
-        blocks = []
-        for k, (ids, labels, rows) in enumerate(zip(self.ids, self.labels, node_rows), start=1):
-            blocks.append([EfgNode(id=v, block=k, rank=r, label=t, rows=tuple(rs))
-                           for r, (v, t, rs) in enumerate(zip(ids, labels, rows))])
+        rows, bounds = self.node_rows()
+        rows = (rows + 1).tolist()
+        blocks, g = [], 0
+        for k, (ids, labels) in enumerate(zip(self.ids, self.labels), start=1):
+            blocks.append([EfgNode(id=v, block=k, rank=r, label=t,
+                                   rows=tuple(rows[bounds[g + r] : bounds[g + r + 1]]))
+                           for r, (v, t) in enumerate(zip(ids, labels))])
+            g += len(ids)
         return blocks
+
+
+def _take(values: list, index: np.ndarray) -> list:
+    """[values[i] for i in index], gathered by numpy as object pointers."""
+    array = np.empty(len(values), object)
+    array[:] = values
+    return array[index].tolist()
 
 
 def build_efg(msa: Msa, seg: Segmentation) -> Efg:
@@ -115,8 +137,10 @@ def build_efg(msa: Msa, seg: Segmentation) -> Efg:
         raise EfgError("segmentation has an empty interval")
     rows, m, b, cells = msa.rows, msa.m, len(seg.blocks), msa.cells
     starts = [x - 1 for x, _ in seg.blocks]
-    # differs[k, i]: in block k + 1, row i + 1's gapped slice is not row 1's
-    differs = ~np.logical_and.reduceat(cells == cells[0], starts, axis=1).T
+    # differs[k, i]: in block k + 1, row i + 1's gapped slice is not row 1's.
+    # Reduced over the column axis of the transposed view: each block's
+    # columns are then long runs of m flags, not m runs of its width.
+    differs = np.logical_or.reduceat((cells != cells[0]).T, starts, axis=0)
     listed_blocks, listed_rows = np.nonzero(differs)  # by block, rows ascending
     ends = np.cumsum(differs.sum(axis=1)).tolist()
     listed = listed_rows.tolist()
@@ -135,66 +159,88 @@ def build_efg(msa: Msa, seg: Segmentation) -> Efg:
         ref_ranks.append(rank[ref])
         listed_ranks.extend(map(rank.__getitem__, spelled))
         lo = hi
-    cols = np.empty((b, m), np.int64)
-    cols[:] = np.array(ref_ranks, np.int64)[:, None]
-    cols[listed_blocks, listed_rows] = listed_ranks
+    ranks = np.empty((b, m), np.int64)
+    ranks[:] = np.array(ref_ranks, np.int64)[:, None]
+    ranks[listed_blocks, listed_rows] = listed_ranks
     widths = list(map(len, labels))
-    w = max(widths)
-    rank_texts = list(map(str, range(w)))
+    rank_texts = list(map(str, range(max(widths))))
     ids = [list(map(f"b{k}_".__add__, rank_texts[:size]))
            for k, size in enumerate(widths, start=1)]
-    return Efg(labels=labels, ids=ids, columns=cols.tolist(), names=list(msa.names),
-               edges=_edges(cols, ids, widths, w), intervals=list(seg.blocks))
+    return Efg(labels=labels, ids=ids, ranks=ranks, names=list(msa.names),
+               edges=_edges(ranks, ids, widths), intervals=list(seg.blocks))
 
 
-def _edges(cols: np.ndarray, ids: list[list[str]], widths: list[int], w: int):
+def _edges(ranks: np.ndarray, ids: list[list[str]], widths: list[int]):
     """Distinct (tail id, head id) pairs of consecutive columns, sorted as id
-    strings, so b10_0 comes before b1_0. Each pair is packed as the int64
-    (block * w + tail rank) * w + head rank, below b * w^2."""
-    b = len(ids)
+    strings, so b10_0 comes before b1_0.
+
+    No id prefix ``b<k>_`` is a prefix of another, so ids compare as their
+    (``b<k>_``, rank text) pairs, and a head's block is its tail's plus one.
+    Each pair is packed as the int64 (tail block position * w + tail rank
+    position) * w + head rank position, below b * w^2 (w the widest block),
+    with positions in string order: the codes sort as the id pairs do, so
+    one sort finds the distinct pairs in order."""
+    b, w = len(ids), max(widths)
     if b * w * w >= EDGE_CODE_LIMIT:
         raise EfgError(
             f"{b} blocks of up to {w} nodes; edge codes need b * w^2 below {EDGE_CODE_LIMIT}"
         )
-    codes = ((np.arange(b - 1, dtype=np.int64)[:, None] * w + cols[:-1]) * w + cols[1:]).ravel()
+    # "b<k>_0" sorts as "b<k>_" does
+    block_of = np.array(sorted(range(b - 1), key=[v[0] for v in ids].__getitem__), np.int64)
+    rank_of = np.array(sorted(range(w), key=str), np.int64)
+    block_pos = np.empty(b - 1, np.int64)
+    block_pos[block_of] = np.arange(b - 1)
+    rank_pos = np.empty(w, np.int64)
+    rank_pos[rank_of] = np.arange(w)
+    pos = rank_pos[ranks]
+    codes = ((block_pos[:, None] * w + pos[:-1]) * w + pos[1:]).ravel()
     codes.sort()
     first = np.ones(codes.size, np.bool_)
     first[1:] = codes[1:] != codes[:-1]
-    codes = codes[first]
+    tail_block, rest = np.divmod(codes[first], w * w)
     # node ids in one list, block k's ranks starting at offset[k - 1]
     flat = [v for block_ids in ids for v in block_ids]
     offset = np.cumsum([0] + widths, dtype=np.int64)
-    block, rest = np.divmod(codes, w * w)
-    tail = offset[block] + rest // w
-    head = offset[block + 1] + rest % w
-    return sorted(zip(map(flat.__getitem__, tail.tolist()), map(flat.__getitem__, head.tolist())))
+    block = block_of[tail_block]
+    tail = offset[block] + rank_of[rest // w]
+    head = offset[block + 1] + rank_of[rest % w]
+    return list(zip(map(flat.__getitem__, tail.tolist()), map(flat.__getitem__, head.tolist())))
 
 
 # -- exports ------------------------------------------------------------------
 
 
+# GFA 1's name grammar: printable ASCII, not starting with '*' or '='
+_GFA_NAME = re.compile(r"[!-)+-<>-~][!-~]*")
+
+
 def _path_name(name: str) -> str:
     # GFA fields are tab-separated; use the first whitespace token of the header
-    return name.split()[0] if name.split() else name
+    tokens = name.split()
+    return tokens[0] if tokens else name
 
 
 def export_gfa(efg: Efg) -> str:
-    """GFA 1 text; rows whose headers share a first token are rejected,
-    because their paths would share one name."""
+    """GFA 1 text. A row whose path name (the first token of its header) is
+    not a GFA 1 name, or is the name of an earlier row, is rejected. The P
+    lines join the node ids that ``Efg.row_steps`` lists for each row."""
+    tokens = list(map(_path_name, efg.names))
     seen: dict[str, int] = {}
-    for row, name in enumerate(efg.names, start=1):
-        token = _path_name(name)
+    for row, token in enumerate(tokens, start=1):
         if token in seen:
             raise EfgError(f"rows {seen[token]} and {row} share the GFA path name {token!r}")
+        if not _GFA_NAME.fullmatch(token):
+            raise EfgError(f"row {row} has the GFA path name {token!r}, which GFA 1 forbids")
         seen[token] = row
     lines = ["H\tVN:Z:1.0"]
     for k, (ids, labels) in enumerate(zip(efg.ids, efg.labels), start=1):
         lines.extend(f"S\t{v}\t{t}\tbl:i:{k}" for v, t in zip(ids, labels))
     lines.extend(f"L\t{a}\t+\t{b}\t+\t0M" for a, b in efg.edges)
-    for name, ids in zip(efg.names, efg.row_steps(efg.ids)):
-        steps = "+,".join(ids) + "+" if ids else ""
-        lines.append(f"P\t{_path_name(name)}\t{steps}\t*")
-    return "\n".join(lines) + "\n"
+    steps = efg.row_steps([v for ids in efg.ids for v in ids])
+    lines.extend(f"P\t{token}\t{'+,'.join(row)}+\t*" if row else f"P\t{token}\t\t*"
+                 for token, row in zip(tokens, steps))
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def _dot_escape(text: str) -> str:
@@ -221,7 +267,8 @@ def _json_array(items: list[str], indent: str) -> str:
     if not items:
         return "[]"
     inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    sep = ",\n" + inner
+    return f"[\n{inner}{sep.join(items)}\n{indent}]"
 
 
 def export_json(efg: Efg) -> str:
@@ -233,24 +280,27 @@ def export_json(efg: Efg) -> str:
          "edges": [[from, to]], "paths": [{"name", "nodes"}]}
 
     It is written directly: json.dumps with indent runs the pure-Python
-    encoder. Strings go through the same C escaper json.dumps uses."""
+    encoder. Strings go through the same C escaper json.dumps uses, once per
+    node id and row number; the node rows and paths index those strings with
+    ``Efg.node_rows`` and ``Efg.row_steps``."""
     enc = encode_basestring_ascii
-    encoded_ids = [list(map(enc, ids)) for ids in efg.ids]
-    row_texts = [str(i) for i in range(1, len(efg.names) + 1)]
-    blocks = []
-    for k, (ids, labels, node_rows, (x, y)) in enumerate(
-        zip(encoded_ids, efg.labels, efg.node_rows(row_texts), efg.intervals), start=1
-    ):
+    encoded_ids = [enc(v) for ids in efg.ids for v in ids]
+    rows, bounds = efg.node_rows()
+    rows = _take(list(map(str, range(1, len(efg.names) + 1))), rows)
+    blocks, g = [], 0
+    for k, (labels, (x, y)) in enumerate(zip(efg.labels, efg.intervals), start=1):
         nodes = [
-            f'{{\n          "id": {v},\n          "label": {enc(t)},'
-            f'\n          "rows": {_json_array(rows, " " * 10)}\n        }}'
-            for v, t, rows in zip(ids, labels, node_rows)
+            f'{{\n          "id": {encoded_ids[g + r]},\n          "label": {enc(t)},'
+            f'\n          "rows": {_json_array(rows[bounds[g + r] : bounds[g + r + 1]], " " * 10)}'
+            '\n        }'
+            for r, t in enumerate(labels)
         ]
+        g += len(labels)
         blocks.append(
             f'{{\n      "end": {y},\n      "index": {k},'
             f'\n      "nodes": {_json_array(nodes, " " * 6)},\n      "start": {x}\n    }}'
         )
-    edges = [_json_array(list(map(enc, e)), "    ") for e in efg.edges]
+    edges = [f"[\n      {enc(a)},\n      {enc(b)}\n    ]" for a, b in efg.edges]
     paths = [
         f'{{\n      "name": {enc(name)},'
         f'\n      "nodes": {_json_array(steps, " " * 6)}\n    }}'

@@ -8,7 +8,11 @@ virtual terminator column past the end of a row.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+from typing import NoReturn
 
 import numpy as np
 
@@ -20,6 +24,9 @@ GAP = "-"
 # FASTA header mark) and '.' (a gap in A2M and Stockholm, which Msa.from_rows
 # turns into GAP).
 _VALID = bytes(c for c in range(33, 127) if chr(c) not in ">.")
+
+# Msa.from_rows: ASCII lower case to upper case and '.' to GAP, nothing else
+_FOLD = str.maketrans(string.ascii_lowercase + ".", string.ascii_uppercase + GAP)
 
 # The segmentation DPs keep scores and columns in int32 below this sentinel.
 DP_LIMIT = 1 << 28
@@ -51,12 +58,13 @@ class Msa:
 
     Rows hold GAP and printable ASCII symbols other than '>' and '.'.
     ``cells`` is the read-only ``(m, n)`` uint8 matrix of the row bytes,
-    which the gap index, the suffix array and the graph build read.
+    which the gap index, the suffix array and the graph build read. The rows
+    are checked as one text; only a failed check walks them row by row, to
+    name the first bad one. ``alphabet`` is computed on first use.
     """
 
     rows: tuple[str, ...]
     names: tuple[str, ...]
-    alphabet: frozenset[str] = field(init=False)
     cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,30 +75,55 @@ class Msa:
         n = len(self.rows[0])
         if n == 0:
             raise MsaError(f"row '{self.names[0]}' is empty")
+        text = "".join(self.rows)
+        if set(map(len, self.rows)) != {n} or not text.isascii():
+            self._raise_first_bad_row(n)
+        data = text.encode("ascii")
+        cells = np.frombuffer(data, np.uint8).reshape(-1, n)
+        # the bytes of _VALID, GAP among them: 33..126 except '>' and '.'
+        if (
+            cells.min() < 33
+            or cells.max() > 126
+            or b">" in data
+            or b"." in data
+            or not (cells != ord(GAP)).any(axis=1).all()
+        ):
+            self._raise_first_bad_row(n)
+        object.__setattr__(self, "cells", cells)
+
+    def _raise_first_bad_row(self, n: int) -> NoReturn:
+        """Raise the MsaError of the first row that fails a check."""
         for name, row in zip(self.names, self.rows):
             if len(row) != n:
-                raise MsaError(
-                    f"row '{name}' has length {len(row)}, expected {n}"
-                )
+                raise MsaError(f"row '{name}' has length {len(row)}, expected {n}")
             if not row.isascii() or row.encode("ascii").translate(None, _VALID):
                 bad = next(c for c in row if not c.isascii() or ord(c) not in _VALID)
                 raise MsaError(f"row '{name}' contains invalid symbol {bad!r}")
             if row.count(GAP) == n:
                 raise MsaError(f"row '{name}' consists only of gap symbols")
-        cells = np.frombuffer("".join(self.rows).encode("ascii"), np.uint8).reshape(-1, n)
+        raise AssertionError("a whole-text check failed on rows that pass one by one")
+
+    @cached_property
+    def alphabet(self) -> frozenset[str]:
+        """The symbols other than GAP that occur in the rows."""
         # a boolean scatter, not np.bincount, which copies the bytes to intp first
         seen = np.zeros(128, np.bool_)
-        seen[cells] = True
-        sigma = frozenset(map(chr, np.flatnonzero(seen).tolist())) - {GAP}
-        object.__setattr__(self, "alphabet", sigma)
-        object.__setattr__(self, "cells", cells)
+        seen[self.cells] = True
+        return frozenset(map(chr, np.flatnonzero(seen).tolist())) - {GAP}
 
     @classmethod
     def from_rows(cls, rows, names=None) -> "Msa":
-        """Msa of the upper-cased rows, with every '.' read as a gap."""
-        rows = tuple(r.upper().replace(".", GAP) for r in rows)
+        """Msa of the rows with ASCII letters upper-cased and every '.' read
+        as a gap. Other symbols stay as they are, so a non-ASCII letter is
+        rejected as itself, not as its upper case ("ß" is not "SS")."""
+        rows = tuple(rows)
         if names is None:
             names = tuple(f"r{i}" for i in range(1, len(rows) + 1))
+        # one translation of the joined rows; it keeps every length, so the
+        # rows are sliced back at their old ends
+        text = "".join(rows).translate(_FOLD)
+        ends = list(accumulate(map(len, rows)))
+        rows = tuple(map(text.__getitem__, map(slice, [0, *ends[:-1]], ends)))
         return cls(rows=rows, names=tuple(names))
 
     @property
@@ -105,27 +138,22 @@ class Msa:
 def parse_aligned_fasta(data: str | bytes) -> Msa:
     """Parse aligned FASTA text into an Msa.
 
-    Sequence characters are upper-cased; '-' and '.' mark a gap. Header text
-    after '>' is kept verbatim as the row name.
+    ASCII letters are upper-cased; '-' and '.' mark a gap. Header text
+    after '>' is kept verbatim as the row name. A record's sequence is the
+    join of the lines up to the next header.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii")
-    names: list[str] = []
-    chunks: list[list[str]] = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            names.append(line[1:].strip() or f"r{len(names) + 1}")
-            chunks.append([])
-        else:
-            if not names:
-                raise MsaError(f"line {lineno}: sequence data before first header")
-            chunks[-1].append(line)
-    if not names:
+    lines = list(map(str.strip, data.splitlines()))
+    heads = [k for k, line in enumerate(lines) if line.startswith(">")]
+    first = heads[0] if heads else len(lines)
+    for lineno, line in enumerate(lines[:first], start=1):
+        if line:
+            raise MsaError(f"line {lineno}: sequence data before first header")
+    if not heads:
         raise MsaError("empty input: no FASTA records found")
-    rows = ["".join(parts) for parts in chunks]
+    names = [lines[k][1:].strip() or f"r{j}" for j, k in enumerate(heads, start=1)]
+    rows = ["".join(lines[a + 1 : b]) for a, b in zip(heads, heads[1:] + [len(lines)])]
     return Msa.from_rows(rows, names)
 
 
@@ -160,9 +188,9 @@ class GapIndex:
 
     def __init__(self, msa: Msa):
         m, n = msa.m, msa.n
-        check_size_limits(n, sum(len(row) - row.count(GAP) for row in msa.rows) + m)
-        self.m, self.n = m, n
         nongap = msa.cells != ord(GAP)
+        check_size_limits(n, int(np.count_nonzero(nongap)) + m)
+        self.m, self.n = m, n
         # rank2d[i, x] = number of non-gaps in row i+1, columns [1..x]
         self.rank2d = np.zeros((m, n + 1), dtype=np.int32)
         np.cumsum(nongap, axis=1, out=self.rank2d[:, 1:])

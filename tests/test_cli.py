@@ -146,6 +146,20 @@ def test_export_gfa_rejects_duplicate_path_names(tmp_path, capsys):
     assert [p["name"] for p in json.loads(out)["paths"]] == ["a x", "a"]
 
 
+@pytest.mark.parametrize("fasta,row,token", [
+    (">*r1\nACGT\n>r2\nACGA\n", 1, "'*r1'"),
+    (">r1\nACGT\n>=r2 x\nACGA\n", 2, "'=r2'"),
+    (">r1\nACGT\n>r\x012\nACGA\n", 2, "'r\\x012'"),
+])
+def test_export_gfa_rejects_names_gfa_forbids(tmp_path, capsys, fasta, row, token):
+    # GFA 1 names match [!-)+-<>-~][!-~]*: no '*' or '=' first, no control byte
+    path = write(tmp_path, "names.fa", fasta)
+    code, out, err = run(capsys, "export", path, "--format", "gfa")
+    assert code == 1
+    assert out == ""
+    assert err == f"efgseg: error: row {row} has the GFA path name {token}, which GFA 1 forbids\n"
+
+
 def test_export_dot_escapes_labels(tmp_path, capsys):
     # node labels '"' and '\\T' must become the DOT strings "\\"" and "\\\\T"
     path = write(tmp_path, "quote.fa", QUOTE_FASTA)
@@ -350,3 +364,32 @@ def test_segment_output_passes_validate(tmp_path, capsys):
     if code1 == 0:
         code, out, _ = run(capsys, "validate", path)
         assert code == 0
+
+
+def test_one_process_runs_commands_in_turn(tmp_path, capsys):
+    # main builds its parser once per process; no call leaves a value behind
+    # for the next, so each output is the one a fresh process writes
+    path = write(tmp_path, "e.fa", E_FASTA)
+    seg_path = str(tmp_path / "seg.json")
+    calls = [
+        ["segment", path, "--score", "maxblocks", "--emit-graph", "-o", seg_path],
+        ["segment", path, "--score", "minmaxlen"],
+        ["export", path, "--score", "maxblocks", "--format", "json"],
+        ["export", path],
+        ["stats", path, "--score", "maxblocks"],
+        ["stats", path],
+        ["export", path, "--segmentation", seg_path, "--format", "dot"],
+        ["segment", path, "--score", "maxblocks"],
+    ]
+    outs = [run(capsys, *argv) for argv in calls]
+    assert all(code == 0 for code, _, _ in outs)
+    assert cli._make_parser() is cli._make_parser()
+    assert "graph" in json.loads((tmp_path / "seg.json").read_text())
+    assert "graph" not in json.loads(outs[1][1]) and "graph" not in json.loads(outs[7][1])
+    assert json.loads(outs[2][1])["paths"] and outs[3][1].startswith("H\tVN:Z:1.0\n")
+    assert json.loads(outs[4][1])["scheme"] == "maxblocks"
+    assert json.loads(outs[5][1])["scheme"] == "minmaxlen"
+    assert outs[6][1].startswith("digraph")
+    fresh = cli._make_parser.__wrapped__()
+    for argv in calls:
+        assert vars(cli._make_parser().parse_args(argv)) == vars(fresh.parse_args(argv))

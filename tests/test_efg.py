@@ -1,7 +1,9 @@
 import json
 import random
+import re
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from efgseg.efg import (
     parse_gfa,
 )
 from efgseg.msa import Msa, spell
+from tests import loop_reference
 from tests.conftest import build_pipeline, near_identical_msa
 
 
@@ -46,7 +49,7 @@ def test_single_row_path_graph():
     assert len(efg.edges) == 1
     msa = Msa.from_rows(["AC-GT"])
     for blocks in ([(1, 5)], [(1, 1), (2, 4), (5, 5)]):
-        assert assert_graph_matches_reference(msa, blocks).columns == [[0]] * len(blocks)
+        assert assert_graph_matches_reference(msa, blocks).ranks.tolist() == [[0]] * len(blocks)
     assert assert_graph_matches_reference(msa, [(1, 2), (3, 3), (4, 5)]) is None
 
 
@@ -346,10 +349,10 @@ def test_row_1_alone_differs_in_middle_block(middle):
     efg = assert_graph_matches_reference(Msa.from_rows(rows), [(1, 2), (3, 4), (5, 6)])
     assert efg.labels[0] == ["AA"] and efg.labels[2] == ["TT"]
     if middle == "G-":
-        assert efg.labels[1] == ["G"] and efg.columns[1] == [0] * 6
+        assert efg.labels[1] == ["G"] and efg.ranks[1].tolist() == [0] * 6
     else:
-        assert efg.labels[1] == ["C", "G"] and efg.columns[1] == [0] + [1] * 5
-    assert efg.columns[0] == efg.columns[2] == [0] * 6
+        assert efg.labels[1] == ["C", "G"] and efg.ranks[1].tolist() == [0] + [1] * 5
+    assert efg.ranks[0].tolist() == efg.ranks[2].tolist() == [0] * 6
 
 
 def test_edge_code_limit_checked(monkeypatch, msa_e, tmp_path, capsys):
@@ -406,7 +409,8 @@ def graphs(draw):
     edges = draw(st.lists(st.tuples(JSON_TEXT, JSON_TEXT), max_size=3))
     ends = st.tuples(st.integers(-5, 10**9), st.integers(-5, 10**9))
     intervals = draw(st.lists(ends, min_size=len(labels), max_size=len(labels)))
-    return Efg(labels=labels, ids=ids, columns=columns, names=names, edges=edges,
+    ranks = np.array(columns, np.int64).reshape(len(labels), m)
+    return Efg(labels=labels, ids=ids, ranks=ranks, names=names, edges=edges,
                intervals=intervals)
 
 
@@ -419,14 +423,14 @@ def test_export_json_matches_json_dumps(efg):
 @settings(deadline=None)
 @given(graphs())
 def test_blocks_and_paths_follow_columns(efg):
-    for k, (labels, ids, col) in enumerate(zip(efg.labels, efg.ids, efg.columns), start=1):
+    for k, (labels, ids, col) in enumerate(zip(efg.labels, efg.ids, efg.ranks.tolist()), start=1):
         assert [(nd.id, nd.block, nd.rank, nd.label) for nd in efg.blocks[k - 1]] == [
             (v, k, r, t) for r, (v, t) in enumerate(zip(ids, labels))
         ]
         for nd in efg.blocks[k - 1]:
             assert nd.rows == tuple(i for i, r in enumerate(col, start=1) if r == nd.rank)
     assert efg.paths == [
-        (name, [ids[col[i]] for ids, col in zip(efg.ids, efg.columns)])
+        (name, [ids[col[i]] for ids, col in zip(efg.ids, efg.ranks.tolist())])
         for i, name in enumerate(efg.names)
     ]
     assert efg.b == len(efg.blocks) and efg.n_nodes == sum(map(len, efg.blocks))
@@ -446,11 +450,124 @@ def test_gfa_roundtrip_property(data):
     _, _, ext = build_pipeline(msa)
     table = E.score_min_max_length(ext.pairs_by_f(), msa.n)
     segs = [[(1, n)]] + ([E.traceback(table, ext).blocks] if table.score() is not None else [])
+    # GFA 1 names do not start with '*' or '='
+    forbidden = next((i for i, t in enumerate(tokens, start=1) if t[0] in "*="), None)
     for blocks in segs:
         efg = build_efg(msa, seg_of(blocks))
+        if forbidden:
+            with pytest.raises(EfgError, match=f"^row {forbidden} has the GFA path name"):
+                export_gfa(efg)
+            continue
         nodes, edges, paths = parse_gfa(export_gfa(efg))
         assert nodes == {nd.id: nd.label for block in efg.blocks for nd in block}
         assert edges == set(efg.edges)
         assert paths == {name.split()[0]: ids for name, ids in efg.paths}
         for t, r in zip(tokens, rows):
             assert "".join(nodes[v] for v in paths[t]) == r.replace("-", "")
+
+
+# -- the loop references of the rank-matrix build and writers ------------------
+
+
+def gfa_name_fault(names):
+    """The row (1-based) of the first path name that GFA 1 forbids or an
+    earlier row already took, by a per-character rule, or None."""
+    seen = set()
+    for row, name in enumerate(names, start=1):
+        token = name.split()[0] if name.split() else name
+        allowed = token and token[0] not in "*=" and all(33 <= ord(c) <= 126 for c in token)
+        if not allowed or token in seen:
+            return row
+        seen.add(token)
+    return None
+
+
+def assert_writers_match_loop_reference(efg, want):
+    assert export_json(efg) == loop_reference.export_json(want)
+    row = gfa_name_fault(efg.names)
+    if row is None:
+        assert export_gfa(efg) == loop_reference.export_gfa(want)
+    else:
+        with pytest.raises(EfgError, match=f"(^row {row} has)|( and {row} share)"):
+            export_gfa(efg)
+
+
+@st.composite
+def segmented_msas(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 10))
+    row = st.text("AC-", min_size=n, max_size=n).filter(lambda r: r.strip("-"))
+    msa = Msa.from_rows(draw(st.lists(row, min_size=m, max_size=m)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else [])
+    return msa, [(a + 1, b) for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+@settings(deadline=None, max_examples=300)
+@given(segmented_msas())
+def test_build_and_writers_match_loop_reference(case):
+    msa, blocks = case
+    seg = seg_of(blocks)
+    try:
+        want = loop_reference.build_efg(msa, seg)
+    except EfgError as exc:
+        with pytest.raises(EfgError) as got:
+            build_efg(msa, seg)
+        assert str(got.value) == str(exc)
+        return
+    efg = build_efg(msa, seg)
+    assert (efg.labels, efg.ids, efg.ranks.tolist(), efg.names, efg.edges, efg.intervals) == (
+        want.labels, want.ids, want.columns, want.names, want.edges, want.intervals
+    )
+    assert efg.ranks.shape == (efg.b, msa.m)
+    assert_writers_match_loop_reference(efg, want)
+
+
+def as_list_efg(efg):
+    return loop_reference.ListEfg(labels=efg.labels, ids=efg.ids, columns=efg.ranks.tolist(),
+                                  names=efg.names, edges=efg.edges, intervals=efg.intervals)
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_writers_match_loop_reference_on_any_graph(efg):
+    assert_writers_match_loop_reference(efg, as_list_efg(efg))
+
+
+@pytest.mark.parametrize("labels,ranks,names", [
+    ([["A"]], [[0]], ["r1"]),  # m = 1, b = 1: one block of one node, no edges
+    ([["A", "C"]], [[1, 0, 1]], ["r1", "r2", "r3"]),  # b = 1, no edges
+    ([[]], np.zeros((1, 0)), []),  # no rows: an empty node list and no paths
+    ([[], []], np.zeros((2, 0)), []),
+    ([], np.zeros((0, 2)), ["r1", "r2"]),  # no blocks: empty paths
+    ([], np.zeros((0, 0)), []),
+])
+def test_writers_match_loop_reference_on_small_graphs(labels, ranks, names):
+    ids = [[f"b{k}_{r}" for r in range(len(block))] for k, block in enumerate(labels, start=1)]
+    efg = Efg(labels=labels, ids=ids, ranks=np.array(ranks, np.int64), names=names, edges=[],
+              intervals=[(k, k) for k in range(1, len(labels) + 1)])
+    want = as_list_efg(efg)
+    assert_writers_match_loop_reference(efg, want)
+    assert efg.paths == [(name, list(steps)) for name, steps in zip(names, want.row_steps(ids))]
+    assert [[nd.rows for nd in block] for block in efg.blocks] == [
+        [tuple(rows) for rows in block] for block in want.node_rows(range(1, len(names) + 1))
+    ]
+
+
+def test_efg_equality_compares_the_rank_matrix(msa_e):
+    seg = seg_of([(1, 1), (2, 3), (4, 4)])
+    efg = build_efg(msa_e, seg)
+    assert efg == build_efg(msa_e, seg) and "blocks" not in vars(efg)
+    other = build_efg(msa_e, seg)
+    other.ranks = other.ranks.copy()
+    other.ranks[1, 0] = 1 - other.ranks[1, 0]
+    assert efg != other
+
+
+@pytest.mark.parametrize("header", ["*r1", "=r2 x", "a\x01b", "\x7f"])
+def test_export_gfa_rejects_names_gfa_forbids(header):
+    msa = Msa.from_rows(["AC", "AG"], names=["ok", header])
+    efg = build_efg(msa, seg_of([(1, 2)]))
+    token = header.split()[0]
+    with pytest.raises(EfgError, match=f"^row 2 has the GFA path name {re.escape(repr(token))}"):
+        export_gfa(efg)
+    assert json.loads(export_json(efg))["paths"][1]["name"] == header

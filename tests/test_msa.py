@@ -20,6 +20,7 @@ from efgseg.msa import (
     spell,
     to_fasta,
 )
+from tests import loop_reference
 
 
 def test_parse_basic():
@@ -156,6 +157,65 @@ def test_parse_line_endings_case_and_blank_lines(data):
         parse_aligned_fasta(bad)
     with pytest.raises(UnicodeDecodeError):
         parse_aligned_fasta(bad.encode("utf-8"))
+
+
+def test_non_ascii_rejected_before_upper_casing():
+    # str.upper rewrites these letters into ASCII: "ß" into "SS", "ﬁ" into "FI"
+    with pytest.raises(MsaError, match="^row 'r1' contains invalid symbol 'ß'$"):
+        Msa.from_rows(["ß", "AA"])
+    with pytest.raises(MsaError, match="^row 'a' contains invalid symbol 'ﬁ'$"):
+        parse_aligned_fasta(">a\nAﬁ\n>b\nACG\n")
+    # the first bad row is still named first, whatever its fault
+    with pytest.raises(MsaError, match="^row 'r2' contains invalid symbol 'é'$"):
+        Msa.from_rows(["ac", "aé", "A"])
+    with pytest.raises(MsaError, match="^row 'r2' has length 1, expected 2$"):
+        Msa.from_rows(["ac", "a", "ß"])
+    assert Msa.from_rows(["ac.", "Tg-"]).rows == ("AC-", "TG-")
+
+
+# every line break str.splitlines knows, ASCII and not
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+PAD = st.sampled_from(["", "", " ", "\t", " \t "])
+
+
+@st.composite
+def fasta_texts(draw):
+    """Aligned FASTA of short rows, now and then of another length, with an
+    invalid symbol or only gaps, written with any line breaks, wrapped,
+    blank and padded lines, and now and then a line before the first header
+    or no header at all."""
+    lines = []
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(draw(st.sampled_from(["AC", " ", "", "a-"])))
+    n = draw(st.integers(1, 6))
+    for _ in range(draw(st.integers(0 if draw(st.integers(0, 9)) == 0 else 1, 4))):
+        lines.append(">" + draw(st.text("ab1 \t>*", max_size=4)))
+        size = n if draw(st.integers(0, 5)) else draw(st.integers(0, n + 1))
+        symbols = draw(st.sampled_from(["ACGTacgt-.", "ACGTacgt-.", "A-", "AC- \t>!~\x7f\x00"]))
+        row = draw(st.text(symbols, min_size=size, max_size=size))
+        cuts = sorted(draw(st.lists(st.integers(0, size), max_size=2)))
+        lines.extend(row[a:b] for a, b in zip([0, *cuts], [*cuts, size]))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    breaks = st.sampled_from(LINE_BREAKS)
+    return "".join(draw(PAD) + line + draw(PAD) + draw(breaks) for line in lines)
+
+
+@settings(deadline=None, max_examples=400)
+@given(fasta_texts())
+def test_parse_matches_loop_reference(text):
+    try:
+        want = loop_reference.parse_aligned_fasta(text)
+    except MsaError as exc:
+        with pytest.raises(MsaError) as got:
+            parse_aligned_fasta(text)
+        assert str(got.value) == str(exc)
+        return
+    msa = parse_aligned_fasta(text)
+    assert (msa.rows, msa.names) == want
+    assert msa.alphabet == frozenset("".join(msa.rows)) - {GAP}
+    if text.isascii():
+        assert parse_aligned_fasta(text.encode("ascii")) == msa
 
 
 def test_parse_sequence_before_header():
