@@ -6,7 +6,6 @@ segmentation DP (maximize block count or minimize maximum block length),
 and build and export the induced elastic founder graph.
 """
 
-from .ancestors import ArrayTree, ExclusiveAncestorResult, solve
 from .dp import (
     MAXBLOCKS,
     MINMAXLEN,
@@ -41,11 +40,9 @@ __all__ = [
     "MAXBLOCKS",
     "MINMAXLEN",
     "NUMBA_ENABLED",
-    "ArrayTree",
     "Efg",
     "EfgError",
     "EfgNode",
-    "ExclusiveAncestorResult",
     "ExtensionTable",
     "GapIndex",
     "Gst",
@@ -64,7 +61,6 @@ __all__ = [
     "parse_gfa",
     "score_max_blocks",
     "score_min_max_length",
-    "solve",
     "spell",
     "to_fasta",
     "traceback",

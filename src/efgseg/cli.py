@@ -289,7 +289,11 @@ def _make_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("EFGSEG_LOG", "WARNING").upper())
+    level = os.environ.get("EFGSEG_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"efgseg: error: EFGSEG_LOG={level!r} is not a logging level", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper())
     args = _make_parser().parse_args(argv)
     try:
         return args.func(args)

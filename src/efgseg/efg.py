@@ -212,6 +212,9 @@ def _edges(ranks: np.ndarray, ids: list[list[str]], widths: list[int]):
 
 # GFA 1's name grammar: printable ASCII, not starting with '*' or '='
 _GFA_NAME = re.compile(r"[!-)+-<>-~][!-~]*")
+# GFA 1's sequence symbols; a stored sequence is a non-empty run of them (a
+# lone '*' means "not stored")
+_GFA_SEQUENCE = re.compile(r"[A-Za-z=.]*")
 
 
 def _path_name(name: str) -> str:
@@ -222,8 +225,9 @@ def _path_name(name: str) -> str:
 
 def export_gfa(efg: Efg) -> str:
     """GFA 1 text. A row whose path name (the first token of its header) is
-    not a GFA 1 name, or is the name of an earlier row, is rejected. The P
-    lines join the node ids that ``Efg.row_steps`` lists for each row."""
+    not a GFA 1 name, or is the name of an earlier row, is rejected; then
+    the first node whose label is not a GFA 1 sequence. The P lines join the
+    node ids that ``Efg.row_steps`` lists for each row."""
     tokens = list(map(_path_name, efg.names))
     seen: dict[str, int] = {}
     for row, token in enumerate(tokens, start=1):
@@ -232,11 +236,19 @@ def export_gfa(efg: Efg) -> str:
         if not _GFA_NAME.fullmatch(token):
             raise EfgError(f"row {row} has the GFA path name {token!r}, which GFA 1 forbids")
         seen[token] = row
+    node_ids = [v for ids in efg.ids for v in ids]
+    node_labels = [t for labels in efg.labels for t in labels]
+    # one scan of all labels at once; an empty label adds nothing to the text
+    if "" in node_labels or not _GFA_SEQUENCE.fullmatch("".join(node_labels)):
+        g = next(g for g, t in enumerate(node_labels) if not (t and _GFA_SEQUENCE.fullmatch(t)))
+        raise EfgError(
+            f"node {node_ids[g]} has the label {node_labels[g]!r}, which GFA 1 cannot hold"
+        )
     lines = ["H\tVN:Z:1.0"]
     for k, (ids, labels) in enumerate(zip(efg.ids, efg.labels), start=1):
         lines.extend(f"S\t{v}\t{t}\tbl:i:{k}" for v, t in zip(ids, labels))
     lines.extend(f"L\t{a}\t+\t{b}\t+\t0M" for a, b in efg.edges)
-    steps = efg.row_steps([v for ids in efg.ids for v in ids])
+    steps = efg.row_steps(node_ids)
     lines.extend(f"P\t{token}\t{'+,'.join(row)}+\t*" if row else f"P\t{token}\t\t*"
                  for token, row in zip(tokens, steps))
     lines.append("")  # the final newline, without copying the joined text

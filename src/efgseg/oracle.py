@@ -51,29 +51,6 @@ def generate_msa(spec: RandomMsaSpec) -> Msa:
     return Msa.from_rows(rows)
 
 
-def generate_tree_children(seed: int, max_nodes: int = 200) -> dict[int, list[int]]:
-    """Random compacted tree as dense children lists (internal nodes have >= 2)."""
-    rng = random.Random(seed)
-    children: dict[int, list[int]] = {0: []}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop(rng.randrange(len(frontier)))
-        k = rng.randrange(2, 5)
-        if len(children) + k > max_nodes:
-            continue
-        for _ in range(k):
-            c = len(children)
-            children[c] = []
-            children[v].append(c)
-            if rng.randrange(100) < 35:
-                frontier.append(c)
-    if not children[0]:  # root must be internal
-        children[0] = [1, 2]
-        children[1] = []
-        children[2] = []
-    return children
-
-
 # -- segment / extension / score oracles -------------------------------------
 
 

@@ -33,23 +33,19 @@ of h, then reads the last fewer-than-h common symbols off the pair's packed
 prefixes. The packed prefixes are freed after the first sort and packed
 again for the lift, so they do not stay alive through the rounds.
 
-Which pairs are lifted depends on whether the doubling left a level, that
-is, whether the text repeats at least 2h symbols:
-
-- With no level, every adjacent pair of the suffix array is lifted; each is
-  one compare of packed prefixes.
-- Otherwise only the irreducible pairs are lifted. Slot r is irreducible
-  when the suffixes at slots r-1 and r are preceded by different symbols
-  (the Burrows-Wheeler transform changes between them), and the slot of
-  suffix 0 and the slot after it count as irreducible. At every other slot
-  the permuted LCP array, PLCP[i] = the LCP of suffix i and its predecessor
-  in the suffix array, satisfies PLCP[i] = PLCP[i-1] - 1 (Kärkkäinen,
-  Manzini & Puglisi, "Permuted Longest-Common-Prefix Array", CPM 2009). So
-  PLCP is filled in text order from the irreducible positions by one
-  running maximum of PLCP[i] + i, which never decreases and never exceeds
-  n, so it stays int32. The levels and the packed prefixes are freed before
-  the fill. The lift is then O(N) plus O(r log(L / h)) for r irreducible
-  pairs; near-identical rows leave few of them.
+Only the irreducible pairs are lifted. Slot r is irreducible when the
+suffixes at slots r-1 and r are preceded by different symbols (the
+Burrows-Wheeler transform changes between them), and the slot of suffix 0
+and the slot after it count as irreducible. At every other slot the permuted
+LCP array, PLCP[i] = the LCP of suffix i and its predecessor in the suffix
+array, satisfies PLCP[i] = PLCP[i-1] - 1 (Kärkkäinen, Manzini & Puglisi,
+"Permuted Longest-Common-Prefix Array", CPM 2009). So PLCP is filled in text
+order from the irreducible positions by one running maximum of PLCP[i] + i,
+which never decreases and never exceeds n, so it stays int32. The levels and
+the packed prefixes are freed before the fill. The lift is then O(N) plus
+O(r log(L / h)) for r irreducible pairs; near-identical rows leave few of
+them. When the doubling left no level (no repeat of 2h symbols), each lifted
+pair is one compare of packed prefixes.
 
 The inverse comes free: at the end every suffix is alone in its group, so
 isa = rank - 1.
@@ -200,26 +196,20 @@ def _lift(
     lcp[r] = LCP of the suffixes at slots r-1 and r, lcp[0] = 0. Empties
     ``levels``.
 
-    With no level (no repeat of 2h symbols), every adjacent pair is lifted,
-    each by one compare of packed prefixes. Otherwise only the irreducible
-    slots r are lifted: those whose suffixes are preceded by different
-    symbols, plus the slot of suffix 0 and the slot after it, where the
-    preceding symbol is unknown. At any other slot r, suffix i = sa[r] and
-    its predecessor extend suffix i-1 and its predecessor by the same
-    symbol, so PLCP[i] = PLCP[i-1] - 1 (Kärkkäinen, Manzini & Puglisi, CPM
-    2009), with PLCP[i] the LCP of suffix i and its predecessor in sa.
-    PLCP[i] + i then equals its value at the last irreducible position
-    j <= i, and as it never decreases, one running maximum over text order
-    fills it in. It never exceeds n, so int32 holds it.
+    Only the irreducible slots r are lifted: those whose suffixes are
+    preceded by different symbols, plus the slot of suffix 0 and the slot
+    after it, where the preceding symbol is unknown. At any other slot r,
+    suffix i = sa[r] and its predecessor extend suffix i-1 and its
+    predecessor by the same symbol, so PLCP[i] = PLCP[i-1] - 1 (Kärkkäinen,
+    Manzini & Puglisi, CPM 2009), with PLCP[i] the LCP of suffix i and its
+    predecessor in sa. PLCP[i] + i then equals its value at the last
+    irreducible position j <= i, and as it never decreases, one running
+    maximum over text order fills it in. It never exceeds n, so int32 holds
+    it. With no level, each lifted pair is one compare of packed prefixes.
     """
     n = len(sa)
     if n < 2:
         return np.zeros(n, np.int32)
-    if not levels:
-        lcp = np.empty(n, np.int32)
-        lcp[0] = 0
-        lcp[1:] = _lift_pairs(data, sa[:-1], sa[1:], levels)
-        return lcp
     bwt = data[sa - 1]
     irreducible = np.empty(n, np.bool_)
     np.not_equal(bwt[1:], bwt[:-1], out=irreducible[1:])

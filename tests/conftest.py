@@ -90,8 +90,7 @@ class SuffixTree:
     materialised view is what the tests check that array against. Node ids:
     leaves are 0..n_leaves-1 in suffix-array order, internal nodes (the root
     included) follow, with flat ``parent``, ``string_depth``, ``lml`` and
-    ``rml`` arrays. ``leaf_nodes`` are the leaf node ids, as
-    ``ancestors.solve`` reads them. Leaf origins are
+    ``rml`` arrays, and ``leaf_nodes`` the leaf node ids. Leaf origins are
     (row, offset) with offset the 1-based position in the gaps-removed row
     plus terminator; leaf suffix links reduce to ``leaf_for(i, p + 1)``.
     """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from string import ascii_letters
 
 import numpy as np
 
@@ -144,13 +145,18 @@ def _path_name(name):
 
 
 def export_gfa(efg: ListEfg) -> str:
-    """GFA text with the duplicate-name check only."""
+    """GFA text with the duplicate-name check and a per-node label check,
+    but no check of the path-name grammar."""
     seen: dict[str, int] = {}
     for row, name in enumerate(efg.names, start=1):
         token = _path_name(name)
         if token in seen:
             raise EfgError(f"rows {seen[token]} and {row} share the GFA path name {token!r}")
         seen[token] = row
+    for ids, labels in zip(efg.ids, efg.labels):
+        for v, t in zip(ids, labels):
+            if not t or any(c not in ascii_letters + "=." for c in t):
+                raise EfgError(f"node {v} has the label {t!r}, which GFA 1 cannot hold")
     lines = ["H\tVN:Z:1.0"]
     for k, (ids, labels) in enumerate(zip(efg.ids, efg.labels), start=1):
         lines.extend(f"S\t{v}\t{t}\tbl:i:{k}" for v, t in zip(ids, labels))

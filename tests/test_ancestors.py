@@ -1,36 +1,73 @@
-import random
+"""The exclusive-ancestor problem on the generalized suffix tree.
 
-import pytest
+The column sweep answers it on the enhanced suffix array; its loop
+reference climbs the materialised suffix tree with ``_ascend_run``. These
+tests hold that climb to the oracle's exclusive ancestors.
+"""
+
+import random
 
 import efgseg as E
 from efgseg import oracle as O
-from efgseg.ancestors import ArrayTree, solve
 from tests.conftest import SuffixTree
+from tests.test_extensions import _ascend_run
 
 
-def star(n_leaves=3):
-    return ArrayTree({0: list(range(1, n_leaves + 1))})
+def climb(tree, leaf_ranks):
+    """Exclusive ancestors of a leaf set, one climb per run of consecutive ranks.
+
+    Returns the ``[(node, (lo, hi))]`` list and the number of climb steps.
+    The full leaf set is the root's, which has no parent to climb to.
+    """
+    ranks = sorted(set(int(r) for r in leaf_ranks))
+    if len(ranks) == tree.n_leaves:
+        return [(int(tree.root), (0, tree.n_leaves - 1))], 0
+    out = []
+    ops = 0
+    start = 0
+    for k in range(1, len(ranks) + 1):
+        if k == len(ranks) or ranks[k] != ranks[k - 1] + 1:
+            run, steps = _ascend_run(
+                tree.parent, tree.lml, tree.rml, tree.leaf_nodes, ranks[start], ranks[k - 1]
+            )
+            out.extend(run)
+            ops += steps
+            start = k
+    return out, ops
 
 
-def test_single_leaf_query():
-    tree = star(3)
-    res = solve(tree, [1])
-    assert res.nodes() == [tree.leaf_nodes[1]]
-    assert res.intervals() == [(1, 1)]
+def random_trees(count, base_seed):
+    for seed in range(count):
+        rng = random.Random(base_seed + seed)
+        spec = O.RandomMsaSpec(
+            seed=base_seed + seed, m=rng.randint(1, 6), n=rng.randint(1, 24), sigma=rng.choice([2, 4])
+        )
+        yield rng, SuffixTree(E.build_gst(O.generate_msa(spec)))
 
 
-def test_subtree_is_single_ancestor():
-    # root -> {v, leaf}, v -> {3 leaves}: querying v's leaves returns v
-    tree = ArrayTree({0: [1, 2], 1: [3, 4, 5]})
-    res = solve(tree, [0, 1, 2])  # ranks of leaves 3,4,5
-    assert res.nodes() == [1]
-    assert res.intervals() == [(0, 2)]
+def test_single_leaf_query(msa_e):
+    tree = SuffixTree(E.build_gst(msa_e))
+    for leaf in range(tree.n_leaves):
+        out, _ = climb(tree, [leaf])
+        assert out == [(leaf, (leaf, leaf))]
+        assert O.oracle_exclusive_ancestors(tree, [leaf]) == {leaf}
 
 
-def test_full_leaf_set_returns_root():
-    tree = ArrayTree({0: [1, 2], 1: [3, 4], 2: [5, 6]})
-    res = solve(tree, range(tree.n_leaves))
-    assert res.nodes() == [0]
+def test_subtree_is_single_ancestor(msa_e):
+    # querying exactly the leaves under v returns v
+    tree = SuffixTree(E.build_gst(msa_e))
+    for v in range(tree.n_leaves, tree.n_nodes):
+        lo, hi = int(tree.lml[v]), int(tree.rml[v])
+        out, _ = climb(tree, range(lo, hi + 1))
+        assert out == [(v, (lo, hi))]
+        assert O.oracle_exclusive_ancestors(tree, range(lo, hi + 1)) == {v}
+
+
+def test_full_leaf_set_returns_root(msa_e):
+    tree = SuffixTree(E.build_gst(msa_e))
+    out, _ = climb(tree, range(tree.n_leaves))
+    assert [node for node, _ in out] == [tree.root]
+    assert O.oracle_exclusive_ancestors(tree, range(tree.n_leaves)) == {tree.root}
 
 
 def test_gst_examples(msa_e):
@@ -39,40 +76,23 @@ def test_gst_examples(msa_e):
     # their own exclusive ancestors
     c1 = tree.leaf_for(1, 3)  # "C$1"
     gc2 = tree.leaf_for(2, 2)  # "GC$2"
-    res = solve(tree, [c1, gc2])
-    assert set(res.nodes()) == {c1, gc2}
+    out, _ = climb(tree, [c1, gc2])
+    assert {node for node, _ in out} == {c1, gc2}
     # both full-depth twins collapse to the internal "AGC" node
-    res = solve(tree, [tree.leaf_for(1, 1), tree.leaf_for(2, 1)])
-    nodes = res.nodes()
-    assert len(nodes) == 1
-    assert tree.path_label(nodes[0]) == "AGC"
-
-
-def test_empty_query_rejected():
-    with pytest.raises(ValueError):
-        solve(star(), [])
-    with pytest.raises(ValueError):
-        solve(star(), [99])
-
-
-def test_array_tree_validation():
-    with pytest.raises(ValueError, match="single child"):
-        ArrayTree({0: [1], 1: []})
-    with pytest.raises(ValueError, match="dense"):
-        ArrayTree({0: [2, 3]})
+    out, _ = climb(tree, [tree.leaf_for(1, 1), tree.leaf_for(2, 1)])
+    assert len(out) == 1
+    assert tree.path_label(out[0][0]) == "AGC"
 
 
 def test_random_trees_match_oracle():
-    for seed in range(300):
-        rng = random.Random(seed * 31 + 5)
-        children = O.generate_tree_children(seed, max_nodes=rng.choice([8, 40, 200]))
-        tree = ArrayTree(children)
+    for seed, (rng, tree) in enumerate(random_trees(300, base_seed=5_000)):
         size = rng.randint(1, tree.n_leaves)
         query = rng.sample(range(tree.n_leaves), size)
-        res = solve(tree, query)
-        assert set(res.nodes()) == O.oracle_exclusive_ancestors(tree, query), seed
+        out, _ = climb(tree, query)
+        assert {node for node, _ in out} == O.oracle_exclusive_ancestors(tree, query), seed
         covered = set()
-        for lo, hi in res.intervals():
+        for node, (lo, hi) in out:
+            assert (lo, hi) == (int(tree.lml[node]), int(tree.rml[node]))
             leaves = set(range(lo, hi + 1))
             assert not (covered & leaves)  # disjoint
             covered |= leaves
@@ -81,22 +101,22 @@ def test_random_trees_match_oracle():
 
 def test_minimality_random():
     # parent of each reported node covers a leaf outside the query
-    for seed in range(50):
-        rng = random.Random(seed + 1000)
-        tree = ArrayTree(O.generate_tree_children(seed + 77, max_nodes=60))
+    for rng, tree in random_trees(50, base_seed=6_000):
+        if tree.n_leaves < 2:
+            continue
         query = set(rng.sample(range(tree.n_leaves), rng.randint(1, tree.n_leaves - 1)))
-        res = solve(tree, query)
-        for node in res.nodes():
+        out, _ = climb(tree, query)
+        for node, _ in out:
             p = int(tree.parent[node])
             parent_leaves = set(range(int(tree.lml[p]), int(tree.rml[p]) + 1))
             assert not parent_leaves <= query
 
 
 def test_work_bound():
-    for seed in range(100):
-        rng = random.Random(seed + 2000)
-        tree = ArrayTree(O.generate_tree_children(seed, max_nodes=200))
+    # every internal node has at least two children, so each successful step
+    # adds a leaf to the climb and each failed one emits an ancestor
+    for rng, tree in random_trees(100, base_seed=7_000):
         size = rng.randint(1, tree.n_leaves)
         query = rng.sample(range(tree.n_leaves), size)
-        res = solve(tree, query)
-        assert res.op_count <= 16 * size + 16, (seed, res.op_count, size)
+        _, ops = climb(tree, query)
+        assert ops <= 2 * size, (ops, size)

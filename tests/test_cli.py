@@ -160,6 +160,18 @@ def test_export_gfa_rejects_names_gfa_forbids(tmp_path, capsys, fasta, row, toke
     assert err == f"efgseg: error: row {row} has the GFA path name {token}, which GFA 1 forbids\n"
 
 
+def test_export_gfa_rejects_labels_gfa_cannot_hold(tmp_path, capsys):
+    # GFA 1 reads a '*' sequence as "not stored" and allows only [A-Za-z=.]+
+    path = write(tmp_path, "labels.fa", ">r1\nAC*T\n>r2\nAC1T\n")
+    code, out, err = run(capsys, "export", path, "--format", "gfa")
+    assert code == 1
+    assert out == ""
+    assert err == "efgseg: error: node b3_0 has the label '*', which GFA 1 cannot hold\n"
+    for fmt in ("dot", "json"):
+        code, out, _ = run(capsys, "export", path, "--format", fmt)
+        assert code == 0 and "*" in out
+
+
 def test_export_dot_escapes_labels(tmp_path, capsys):
     # node labels '"' and '\\T' must become the DOT strings "\\"" and "\\\\T"
     path = write(tmp_path, "quote.fa", QUOTE_FASTA)
@@ -326,6 +338,15 @@ def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus-subcommand"])
     assert exc.value.code == 1
+
+
+def test_bad_log_level_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "e.fa", E_FASTA)
+    monkeypatch.setenv("EFGSEG_LOG", "bogus")
+    code, out, err = run(capsys, "stats", path)
+    assert code == 1
+    assert out == ""
+    assert err == "efgseg: error: EFGSEG_LOG='bogus' is not a logging level\n"
 
 
 def test_stats(tmp_path, capsys):

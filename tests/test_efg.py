@@ -390,19 +390,23 @@ JSON_TEXT = st.text(
     st.one_of(st.sampled_from(list('"\\\t\n\r\x00\x1f\x7fé\u2028/')), st.characters()),
     max_size=6,
 )
+# labels GFA 1 can hold, so that GFA export gets past its label check
+GFA_TEXT = st.from_regex(r"[A-Za-z=.]{1,6}", fullmatch=True)
 
 
 @st.composite
 def graphs(draw):
     """Efg values of any shape, with arbitrary label, id and name strings.
-    Each column holds a node rank for every one of the m rows, so node rows
-    are always within 1..m."""
+    The labels of a graph are either all GFA sequences or a mix of those and
+    arbitrary text. Each column holds a node rank for every one of the m
+    rows, so node rows are always within 1..m."""
     m = draw(st.integers(0, 3))
     names = draw(st.lists(JSON_TEXT, min_size=m, max_size=m))
+    label_text = draw(st.sampled_from([GFA_TEXT, st.one_of(GFA_TEXT, JSON_TEXT)]))
     labels, ids, columns = [], [], []
     for _ in range(draw(st.integers(0, 3))):
         size = draw(st.integers(1 if m else 0, 3))
-        labels.append(draw(st.lists(JSON_TEXT, min_size=size, max_size=size)))
+        labels.append(draw(st.lists(label_text, min_size=size, max_size=size)))
         ids.append(draw(st.lists(JSON_TEXT, min_size=size, max_size=size)))
         ranks = st.integers(0, size - 1) if size else st.nothing()
         columns.append(draw(st.lists(ranks, min_size=m, max_size=m)))
@@ -485,11 +489,18 @@ def gfa_name_fault(names):
 def assert_writers_match_loop_reference(efg, want):
     assert export_json(efg) == loop_reference.export_json(want)
     row = gfa_name_fault(efg.names)
-    if row is None:
-        assert export_gfa(efg) == loop_reference.export_gfa(want)
-    else:
+    if row is not None:
         with pytest.raises(EfgError, match=f"(^row {row} has)|( and {row} share)"):
             export_gfa(efg)
+        return
+    try:
+        text = loop_reference.export_gfa(want)
+    except EfgError as exc:  # a label that GFA 1 cannot hold
+        with pytest.raises(EfgError) as got:
+            export_gfa(efg)
+        assert str(got.value) == str(exc)
+        return
+    assert export_gfa(efg) == text
 
 
 @st.composite
@@ -540,6 +551,12 @@ def test_writers_match_loop_reference_on_any_graph(efg):
     ([[], []], np.zeros((2, 0)), []),
     ([], np.zeros((0, 2)), ["r1", "r2"]),  # no blocks: empty paths
     ([], np.zeros((0, 0)), []),
+    ([["A=c.T"]], [[0]], ["r1"]),  # GFA 1 sequences hold letters, '=' and '.'
+    # labels GFA 1 cannot hold: empty (build_efg never makes one), not
+    # ASCII, or with another symbol
+    ([["A", "C"], [""]], [[1], [0]], ["r1"]),
+    ([["A"], ["C\u00e9"]], [[0], [0]], ["r1"]),
+    ([["A", "C", "G?"]], [[2]], ["r1"]),
 ])
 def test_writers_match_loop_reference_on_small_graphs(labels, ranks, names):
     ids = [[f"b{k}_{r}" for r in range(len(block))] for k, block in enumerate(labels, start=1)]
@@ -571,3 +588,18 @@ def test_export_gfa_rejects_names_gfa_forbids(header):
     with pytest.raises(EfgError, match=f"^row 2 has the GFA path name {re.escape(repr(token))}"):
         export_gfa(efg)
     assert json.loads(export_json(efg))["paths"][1]["name"] == header
+
+
+@pytest.mark.parametrize("rows,blocks,node,label", [
+    (["AC*T", "AC1T"], [(1, 2), (3, 3), (4, 4)], "b2_0", "*"),  # '*' means "not stored"
+    (["AC*T", "AC1T"], [(1, 4)], "b1_0", "AC*T"),
+    (["ACGT", "AC1T"], [(1, 2), (3, 4)], "b2_0", "1T"),
+    (["A~C", "AGC"], [(1, 3)], "b1_1", "A~C"),
+])
+def test_export_gfa_rejects_labels_gfa_cannot_hold(rows, blocks, node, label):
+    # GFA 1 sequences match [A-Za-z=.]+; DOT and JSON keep any label
+    efg = build_efg(Msa.from_rows(rows), seg_of(blocks))
+    with pytest.raises(EfgError, match=f"^node {node} has the label {re.escape(repr(label))}, "):
+        export_gfa(efg)
+    assert label in [nd["label"] for b in json.loads(export_json(efg))["blocks"] for nd in b["nodes"]]
+    assert f'"{node}" [label="{label}"];' in export_dot(efg)

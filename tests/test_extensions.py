@@ -6,9 +6,37 @@ import pytest
 import efgseg as E
 from efgseg import extensions as X
 from efgseg import oracle as O
-from efgseg.ancestors import _ascend_run
 from efgseg.msa import GAP, Msa, MsaError, spell
 from tests.conftest import SuffixTree, build_pipeline, near_identical_msa
+
+
+def _ascend_run(parent, lml, rml, leaf_nodes, lb, rb):
+    """Exclusive ancestors of the contiguous leaf run [lb..rb].
+
+    Starts at the leftmost leaf and climbs while the parent's leaf interval
+    stays inside the run; on failure the last safe node is emitted and the
+    climb restarts at the first uncovered leaf. Returns the emitted
+    ``[(node, (lo, hi))]`` list and the number of climb steps.
+    """
+    out = []
+    ops = 0
+    w = leaf_nodes[lb]
+    lo = hi = lb
+    while True:
+        wp = parent[w]
+        ops += 1
+        if lml[wp] >= lb and rml[wp] <= rb:
+            w = wp
+            lo = lml[wp]
+            hi = rml[wp]
+        else:
+            out.append((int(w), (int(lo), int(hi))))
+            if hi + 1 > rb:
+                break
+            lo = hi + 1
+            hi = lo
+            w = leaf_nodes[lo]
+    return out, ops
 
 
 def reference_sweep(msa, gi, gst):

@@ -2,7 +2,6 @@ import pytest
 
 import efgseg as E
 from efgseg import oracle as O
-from efgseg.ancestors import ArrayTree
 from efgseg.dp import Segmentation
 from efgseg.msa import Msa
 from tests.conftest import SuffixTree
@@ -42,10 +41,15 @@ def test_optimal_score_examples(msa_e, msa_aaa):
 
 
 def test_exclusive_ancestors_examples(msa_e):
-    star = ArrayTree({0: [1, 2, 3]})
-    assert O.oracle_exclusive_ancestors(star, range(star.n_leaves)) == {0}
-    assert O.oracle_exclusive_ancestors(star, [1]) == {star.leaf_nodes[1]}
     tree = SuffixTree(E.build_gst(msa_e))
+    assert O.oracle_exclusive_ancestors(tree, range(tree.n_leaves)) == {tree.root}
+    leaf = tree.leaf_for(1, 2)
+    assert O.oracle_exclusive_ancestors(tree, [leaf]) == {leaf}
+    # the "C" and "GC" leaves have terminator twins outside the query, so
+    # they are their own exclusive ancestors
+    c1, gc2 = tree.leaf_for(1, 3), tree.leaf_for(2, 2)
+    assert O.oracle_exclusive_ancestors(tree, [c1, gc2]) == {c1, gc2}
+    # both full-depth twins collapse to the internal "AGC" node
     got = O.oracle_exclusive_ancestors(tree, [tree.leaf_for(1, 1), tree.leaf_for(2, 1)])
     assert len(got) == 1
     assert tree.path_label(got.pop()) == "AGC"
@@ -74,12 +78,3 @@ def test_generator_respects_spec():
     assert msa.m == 6 and msa.n == 40
     assert msa.alphabet <= {"A", "C"}
     assert all(row.count("-") < msa.n for row in msa.rows)
-
-
-def test_tree_generator_compacted():
-    for seed in range(50):
-        children = O.generate_tree_children(seed, max_nodes=80)
-        assert len(children) <= 80
-        assert all(len(kids) != 1 for kids in children.values())
-        assert len(children[0]) >= 2
-        ArrayTree(children)  # constructible and dense

@@ -39,9 +39,9 @@ REPETITIVE = [unit * reps for unit in ("a", "ab", "aab") for reps in (2, 3, 5, 8
 # The packed prefixes of the adjacent suffixes "acc...c" and "b" xor to 62
 # one bits, which a float conversion rounds up to the next power of two.
 ROUNDING = ["a" + "c" * 30 + "b"]
-# Suffix 0 has no preceding symbol, so when only the irreducible pairs are
-# lifted, its slot and the slot after it always are. Here suffix 0 sorts
-# last, then first, and each text repeats enough symbols to take that lift.
+# Suffix 0 has no preceding symbol, so the LCP lift always takes its slot
+# and the slot after it. Here suffix 0 sorts last, then first, and each text
+# repeats enough symbols to leave levels for that lift to walk.
 SUFFIX_ZERO = ["z" + "a" * 40, "a" * 40 + "z"]
 
 
@@ -203,8 +203,9 @@ def test_enhanced_suffix_array_matches_reference():
 
 
 def test_reference_texts_take_both_lifts():
-    # a text with no repeat of 2h symbols leaves no level and lifts every
-    # pair; a long repeat leaves levels and lifts only the irreducible pairs
+    # the one lift path must hold both on a text with no repeat of 2h
+    # symbols, where the doubling leaves no level, and on long repeats,
+    # which leave several
     n_levels = []
     for _, data in reference_texts():
         levels = []
@@ -244,7 +245,7 @@ def test_repetitive_texts_match_reference():
         want_lcp, want_isa = reference_lcp_array(data, sa)
         assert np.array_equal(lcp, want_lcp), (seed, data.tolist())
         assert np.array_equal(isa, want_isa), seed
-    assert filled >= 100  # most texts take the lift of the irreducible pairs
+    assert filled >= 100  # most texts leave levels for the lift to walk
 
 
 def test_lcp_array_rejects_wrong_input():
