@@ -293,7 +293,8 @@ def main(argv=None) -> int:
     if not isinstance(logging.getLevelName(level.upper()), int):
         print(f"efgseg: error: EFGSEG_LOG={level!r} is not a logging level", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(level=level.upper())
+    logging.basicConfig()  # a stderr handler, unless the host has configured logging
+    log.setLevel(level.upper())
     args = _make_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -5,8 +5,10 @@ is a leaf of the generalized suffix tree: ``isa[row_starts[i] + rank2d[i, x]]``.
 The m leaves of a column split into runs of consecutive leaf ranks. For leaf
 q in run [lb..rb], the exclusive ancestor that covers q hangs below a node of
 string depth D = max(min lcp[lb..q], min lcp[q+1..rb+1]) (lcp[N] = 0), so
-row i's segment must spell g = D + 1 symbols to be unique, and its extension
-ends at the column of its (rank2d[i, x] + g)-th non-gap. This is the
+the row's segment must spell D + 1 symbols to be unique, and its extension
+ends at column ``columns[sa[q] + D]``. No LCP crosses a terminator, as each
+is distinct, so sa[q] + D reaches the row's terminator (column n + 1, no
+extension) exactly when the row has too few symbols left. This is the
 exclusive-ancestor query of the paper answered on the enhanced suffix array
 (Abouelhoda, Kurtz & Ohlebusch 2004) instead of on a materialised tree.
 
@@ -68,22 +70,20 @@ class ExtensionTable:
 def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> ExtensionTable:
     """f(x) = least y > x such that columns [x+1..y] form a semi-repeat-free
     segment, or n+1 when no such y <= n exists."""
-    if (gi.m, gi.n) != (msa.m, msa.n) or (gst.msa.m, gst.msa.n) != (msa.m, msa.n):
+    if gi.msa != msa or gst.msa != msa:
         raise MsaError("gap index / suffix tree were built from a different alignment")
     m, n = msa.m, msa.n
     lcp = np.append(gst.lcp, 0)  # lcp[N] = 0 closes a run that ends at the last leaf
     big = int(lcp.max()) + 1
-    max_k = gi.sel2d.shape[1] - 1
     sort_passes = max(1, (m - 1).bit_length())
     f = np.empty(n, np.int64)
     width = max(1, SWEEP_CHUNK_CELLS // m)
     ops = 0
     for x0 in range(0, n, width):
         cols = np.arange(x0, min(n, x0 + width))
-        # (columns, m): each column's m leaves, ascending, and their rows
+        # (columns, m): each column's m leaves, ascending
         leaves = gst.isa[gst.row_starts + gi.rank2d[:, cols].T]
-        rows = np.argsort(leaves, axis=1)
-        leaves = np.take_along_axis(leaves, rows, axis=1)
+        leaves.sort(axis=1)
         flat = leaves.ravel()
         new_run = np.empty(flat.size, np.bool_)
         new_run[0] = True
@@ -92,10 +92,6 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
         run = np.cumsum(new_run)
         left = _segmented_min(lcp[flat], run, big, reverse=False)
         right = _segmented_min(lcp[flat + 1], run, big, reverse=True)
-        k = gi.rank2d[rows, cols[:, None]] + (np.maximum(left, right) + 1).reshape(rows.shape)
-        fi = np.where(
-            k <= gi.spell_lens[rows], gi.sel2d[rows, np.minimum(k, max_k)], n + 1
-        )
-        f[cols] = fi.max(axis=1)
+        f[cols] = gst.columns[gst.sa[flat] + np.maximum(left, right)].reshape(-1, m).max(axis=1)
         ops += flat.size * (sort_passes + 3)
     return ExtensionTable(f=f, n=n, op_count=ops)

@@ -2,8 +2,8 @@
 
 Rows and columns are 1-based and inclusive throughout the public API, which
 is the native coordinate system of alignment formats. The rank arrays hold
-column 0 as the empty prefix; the select arrays use column ``n + 1`` as the
-virtual terminator column past the end of a row.
+column 0 as the empty prefix; column ``n + 1`` is the virtual terminator
+column past the end of a row.
 """
 
 from __future__ import annotations
@@ -178,26 +178,18 @@ def spell(msa: Msa, i: int, x: int, y: int) -> str:
 
 
 class GapIndex:
-    """Rank/select arrays over the non-gap positions of each row.
+    """Rank array over the non-gap positions of each row.
 
-    Maps between alignment columns and positions in the gaps-removed rows.
-    Backed by int32 arrays: per-row prefix sums of the non-gap flags
-    (``rank2d``), the columns of each row's non-gaps, padded with n + 1
-    (``sel2d``), and each row's non-gap count (``spell_lens``).
+    ``rank2d[i, x]`` is the number of non-gaps in row i + 1 up to column x,
+    an int32 per-row prefix sum of the non-gap flags; it maps a column
+    boundary to a position in the gaps-removed row. The way back, from a
+    text position to its column, is ``Gst.columns``. ``msa`` is the
+    alignment it was built from.
     """
 
     def __init__(self, msa: Msa):
-        m, n = msa.m, msa.n
         nongap = msa.cells != ord(GAP)
-        check_size_limits(n, int(np.count_nonzero(nongap)) + m)
-        self.m, self.n = m, n
-        # rank2d[i, x] = number of non-gaps in row i+1, columns [1..x]
-        self.rank2d = np.zeros((m, n + 1), dtype=np.int32)
+        check_size_limits(msa.n, int(np.count_nonzero(nongap)) + msa.m)
+        self.msa = msa
+        self.rank2d = np.zeros((msa.m, msa.n + 1), dtype=np.int32)
         np.cumsum(nongap, axis=1, out=self.rank2d[:, 1:])
-        self.spell_lens = self.rank2d[:, n].copy()
-        # sel2d[i, k] = 1-based column of the k-th non-gap of row i+1
-        max_len = int(self.spell_lens.max())
-        self.sel2d = np.full((m, max_len + 1), n + 1, dtype=np.int32)
-        for i in range(m):
-            cols = np.flatnonzero(nongap[i]) + 1
-            self.sel2d[i, 1 : len(cols) + 1] = cols

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -16,6 +17,18 @@ def msa_e():
 @pytest.fixture
 def msa_aaa():
     return E.Msa.from_rows(["AAA"])
+
+
+@functools.lru_cache(maxsize=256)
+def _nongap_columns(row):
+    return tuple(x for x, c in enumerate(row, start=1) if c != "-")
+
+
+def kth_nongap_column(msa, i, k):
+    """Column (1-based) of the k-th non-gap of row i (0-based), read off
+    ``msa.rows``, or n + 1 when the row has fewer than k non-gaps."""
+    cols = _nongap_columns(msa.rows[i])
+    return cols[k - 1] if k <= len(cols) else msa.n + 1
 
 
 def build_pipeline(msa):

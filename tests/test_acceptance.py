@@ -15,7 +15,7 @@ import efgseg as E
 from efgseg import oracle as O
 from efgseg.dp import MAXBLOCKS, MINMAXLEN, score_max_blocks, score_min_max_length, traceback
 from efgseg.msa import spell
-from tests.conftest import SuffixTree, build_pipeline
+from tests.conftest import SuffixTree, build_pipeline, kth_nongap_column
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -79,8 +79,7 @@ def test_c2_exclusive_ancestor_correctness():
                 g = int(tree.string_depth[tree.parent[v]]) + 1
                 for q in range(int(tree.lml[v]), int(tree.rml[v]) + 1):
                     i = tree.leaf_row[q]
-                    k = gi.rank2d[i, x] + g
-                    fx = max(fx, int(gi.sel2d[i, k]) if k <= gi.spell_lens[i] else msa.n + 1)
+                    fx = max(fx, kth_nongap_column(msa, i, int(gi.rank2d[i, x]) + g))
                     covered.append(q)
             assert sorted(covered) == sorted(leaves), (spec, x)
             assert int(ext.f[x]) == fx, (spec, x, int(ext.f[x]), fx)

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import re
 
 import numpy as np
@@ -347,6 +348,24 @@ def test_bad_log_level_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "efgseg: error: EFGSEG_LOG='bogus' is not a logging level\n"
+
+
+def test_log_level_set_when_host_configured_logging(tmp_path, capsys, monkeypatch):
+    # a host that already gave the root logger a handler, as pytest or an
+    # embedding program does, makes logging.basicConfig a no-op
+    path = write(tmp_path, "e.fa", E_FASTA)
+    logger, root, handler = logging.getLogger("efgseg"), logging.getLogger(), logging.NullHandler()
+    old_level, root_level = logger.level, root.level
+    monkeypatch.setenv("EFGSEG_LOG", "DEBUG")
+    root.addHandler(handler)
+    try:
+        code, _, _ = run(capsys, "stats", path, "--score", "maxblocks")
+        assert code == 0
+        assert logger.level == logging.DEBUG
+        assert root.level == root_level
+    finally:
+        root.removeHandler(handler)
+        logger.setLevel(old_level)
 
 
 def test_stats(tmp_path, capsys):

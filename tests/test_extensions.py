@@ -7,7 +7,7 @@ import efgseg as E
 from efgseg import extensions as X
 from efgseg import oracle as O
 from efgseg.msa import GAP, Msa, MsaError, spell
-from tests.conftest import SuffixTree, build_pipeline, near_identical_msa
+from tests.conftest import SuffixTree, build_pipeline, kth_nongap_column, near_identical_msa
 
 
 def _ascend_run(parent, lml, rml, leaf_nodes, lb, rb):
@@ -68,8 +68,7 @@ def reference_sweep(msa, gi, gst):
                 g = depth[parent[node]] + 1
                 for q in range(lo, hi + 1):
                     r = leaf_row[q]
-                    k = gi.rank2d[r, x] + g
-                    fi[r] = gi.sel2d[r, k] if k <= gi.spell_lens[r] else n + 1
+                    fi[r] = kth_nongap_column(msa, r, gi.rank2d[r, x] + g)
         f[x] = fi.max()
         marked[cur_leaf] = False
         for i in range(m):
@@ -288,6 +287,18 @@ def test_structure_mismatch_rejected(msa_e, msa_aaa):
     gst = E.build_gst(msa_e)
     with pytest.raises(MsaError):
         E.compute_minimal_right_extensions(msa_aaa, gi, gst)
+
+
+def test_same_shape_alignment_mismatch_rejected():
+    # same (m, n), different gaps: the gap index of one must not sweep the other
+    msa = Msa.from_rows(["AC-GT", "ACG-T"])
+    other = Msa.from_rows(["A-CGT", "ACGT-"])
+    with pytest.raises(MsaError):
+        E.compute_minimal_right_extensions(msa, E.GapIndex(other), E.build_gst(msa))
+    with pytest.raises(MsaError):
+        E.compute_minimal_right_extensions(msa, E.GapIndex(msa), E.build_gst(other))
+    _, _, ext = build_pipeline(msa)
+    assert ext.f.tolist() == [1, 2, 4, 6, 5]
 
 
 def test_trailing_gap_rows_saturate():

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 import efgseg as E
 from efgseg import oracle as O
 from efgseg.msa import Msa, MsaError
-from tests.conftest import SuffixTree
+from tests.conftest import SuffixTree, near_identical_msa
 
 
 def suffix_codes(tree, leaf):
@@ -126,3 +128,34 @@ def test_leaf_for_terminator_twins_adjacent(msa_e):
     b = tree.leaf_for(2, 1)
     assert b == a + 1 and tree.path_label(a).startswith("AGC")
 
+
+
+def lcp_bound_inputs():
+    for seed in range(300):
+        rng = random.Random(seed + 700)
+        yield O.generate_msa(O.RandomMsaSpec(
+            seed=seed + 700, m=rng.randint(1, 8), n=rng.randint(1, 40),
+            sigma=rng.choice([1, 2, 4]), gap_prob=rng.choice([0.0, 0.2, 0.5]),
+        ))
+    for seed in range(40):
+        rng = random.Random(seed)
+        yield near_identical_msa(
+            seed + 800, rng.randint(2, 12), rng.randint(1, 80),
+            snp_rate=rng.choice([0.0, 0.02, 0.1]), gap_rate=rng.choice([0.0, 0.05, 0.3]),
+        )
+
+
+def test_lcp_never_crosses_a_terminator():
+    # the column sweep reads columns[sa[q] + D] and relies on D staying at
+    # most the symbols left before the row's terminator, which holds because
+    # every row has its own terminator code
+    for msa in lcp_bound_inputs():
+        gst = E.build_gst(msa)
+        left = []  # per text position: symbols before the row's terminator
+        for row in msa.rows:
+            spelled = len(row.replace("-", ""))
+            left += list(range(spelled, -1, -1))
+        assert len(left) == len(gst.sa)
+        sa, lcp = gst.sa.tolist(), gst.lcp.tolist()
+        for r in range(1, len(sa)):
+            assert lcp[r] <= min(left[sa[r - 1]], left[sa[r]]), (msa.rows, r)

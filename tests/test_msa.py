@@ -249,14 +249,24 @@ def test_spell_range_errors(msa_e):
         spell(msa_e, 1, 1, 5)
 
 
+def expected_columns(msa):
+    """Gst.columns from a loop over the rows: each non-gap's column, then
+    n + 1 for the row's terminator."""
+    cols = []
+    for row in msa.rows:
+        cols += [x for x in range(1, msa.n + 1) if row[x - 1] != GAP] + [msa.n + 1]
+    return cols
+
+
 def test_gap_index_arrays_fixture_e(msa_e):
     gi = GapIndex(msa_e)  # rows "AG-C" and "A-GC"
     assert msa_e.cells.tolist() == [list(b"AG-C"), list(b"A-GC")]
     assert not msa_e.cells.flags.writeable
-    assert gi.rank2d.dtype == gi.sel2d.dtype == gi.spell_lens.dtype == np.int32
+    assert gi.rank2d.dtype == np.int32
     assert gi.rank2d.tolist() == [[0, 1, 2, 2, 3], [0, 1, 1, 2, 3]]
-    assert gi.sel2d.tolist() == [[5, 1, 2, 4], [5, 1, 3, 4]]  # unused slots hold n + 1
-    assert gi.spell_lens.tolist() == [3, 3]
+    gst = build_gst(msa_e)
+    assert gst.columns.dtype == np.int32
+    assert gst.columns.tolist() == expected_columns(msa_e) == [1, 2, 4, 5, 1, 3, 4, 5]
 
 
 def test_rank_select_consistency_random():
@@ -266,19 +276,20 @@ def test_rank_select_consistency_random():
         gi = GapIndex(msa)
         n = msa.n
         assert gi.rank2d.shape == (msa.m, n + 1)
-        assert gi.sel2d.shape == (msa.m, int(gi.spell_lens.max()) + 1)
         for i, row in enumerate(msa.rows):
-            rank, sel, length = gi.rank2d[i].tolist(), gi.sel2d[i].tolist(), int(gi.spell_lens[i])
+            rank = gi.rank2d[i].tolist()
             assert rank[0] == 0
-            assert rank[n] == length == len(row.replace(GAP, ""))
+            assert rank[n] == len(row.replace(GAP, ""))
             for x in range(1, n + 1):
                 assert rank[x] == rank[x - 1] + (row[x - 1] != GAP)  # one step per non-gap
-                r = rank[x]
-                if r > 0:
-                    assert sel[r] <= x
-                    assert (sel[r] == x) == (row[x - 1] != GAP)
-            assert sel[1 : length + 1] == [x for x in range(1, n + 1) if row[x - 1] != GAP]
-            assert sel[length + 1 :] == [n + 1] * (len(sel) - length - 1)
+        gst = build_gst(msa)
+        assert gst.columns.tolist() == expected_columns(msa)
+        # the k-th symbol of row i sits at text position row_starts[i] + k - 1
+        for i, row in enumerate(msa.rows):
+            start, rank = int(gst.row_starts[i]), gi.rank2d[i].tolist()
+            for x in range(1, n + 1):
+                if row[x - 1] != GAP:
+                    assert gst.columns[start + rank[x] - 1] == x
 
 
 def test_segment_start_monotone_random():
