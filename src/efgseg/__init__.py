@@ -3,7 +3,8 @@
 Pipeline: parse an aligned FASTA, compute the minimal semi-repeat-free
 right extension of every prefix from an enhanced suffix array, run a linear
 segmentation DP (maximize block count or minimize maximum block length),
-and build and export the induced elastic founder graph.
+and build and export the induced elastic founder graph. ``run_pipeline``
+runs the stages up to the score table in that order.
 """
 
 from .dp import (
@@ -12,6 +13,7 @@ from .dp import (
     ScoreTable,
     Segmentation,
     UnsegmentableError,
+    score,
     score_max_blocks,
     score_min_max_length,
     traceback,
@@ -24,11 +26,11 @@ from .efg import (
     export_dot,
     export_gfa,
     export_json,
-    parse_gfa,
 )
 from .extensions import ExtensionTable, compute_minimal_right_extensions
 from .gst import Gst, build_gst
-from .msa import GAP, GapIndex, Msa, MsaError, parse_aligned_fasta, spell, to_fasta
+from .msa import GAP, GapIndex, Msa, MsaError, parse_aligned_fasta, to_fasta
+from .pipeline import Run, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -48,6 +50,7 @@ __all__ = [
     "Gst",
     "Msa",
     "MsaError",
+    "Run",
     "ScoreTable",
     "Segmentation",
     "UnsegmentableError",
@@ -58,10 +61,10 @@ __all__ = [
     "export_gfa",
     "export_json",
     "parse_aligned_fasta",
-    "parse_gfa",
+    "run_pipeline",
+    "score",
     "score_max_blocks",
     "score_min_max_length",
-    "spell",
     "to_fasta",
     "traceback",
 ]

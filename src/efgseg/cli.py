@@ -14,20 +14,11 @@ import os
 import sys
 
 from . import oracle
-from .dp import (
-    MAXBLOCKS,
-    MINMAXLEN,
-    ScoreTable,
-    Segmentation,
-    UnsegmentableError,
-    score_max_blocks,
-    score_min_max_length,
-    traceback,
-)
+from .dp import MAXBLOCKS, MINMAXLEN, Segmentation, UnsegmentableError, score, traceback
 from .efg import build_efg, export_dot, export_gfa, export_json
-from .extensions import ExtensionTable, compute_minimal_right_extensions
-from .gst import build_gst
-from .msa import GapIndex, Msa, MsaError, parse_aligned_fasta, to_fasta
+from .extensions import ExtensionTable
+from .msa import Msa, MsaError, check_size_limits, parse_aligned_fasta, to_fasta
+from .pipeline import run_pipeline
 
 log = logging.getLogger("efgseg")
 
@@ -62,22 +53,6 @@ def _load_msa(path: str) -> Msa:
     return parse_aligned_fasta(_read_input(path))
 
 
-def _pipeline(msa: Msa) -> ExtensionTable:
-    return compute_minimal_right_extensions(msa, GapIndex(msa), build_gst(msa))
-
-
-def _score(ext: ExtensionTable, scheme: str, n: int) -> ScoreTable:
-    if scheme == MAXBLOCKS:
-        return score_max_blocks(ext)
-    return score_min_max_length(ext.pairs_by_f(), n)
-
-
-def _segmentation(msa: Msa, scheme: str) -> Segmentation:
-    """Optimal segmentation; raises UnsegmentableError when s(n) is a sentinel."""
-    ext = _pipeline(msa)
-    return traceback(_score(ext, scheme, msa.n), ext)
-
-
 def segmentation_to_json(seg: Segmentation) -> str:
     doc = {
         "scheme": seg.scheme,
@@ -100,9 +75,13 @@ def segmentation_from_json(text: str) -> Segmentation:
 
     Raises ValueError unless the document is an object whose ``blocks`` is a
     list of objects and whose ``score`` and every block's ``start`` and
-    ``end`` are integers (JSON ``true``/``false`` and fractions are not).
+    ``end`` are integers (JSON ``true``/``false`` and fractions are not),
+    and when the JSON nests too deeply for the parser.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("segmentation: the JSON nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError("segmentation: the document must be a JSON object")
     if not isinstance(doc.get("blocks"), list):
@@ -112,8 +91,9 @@ def segmentation_from_json(text: str) -> Segmentation:
         if not isinstance(b, dict):
             raise ValueError(f"segmentation: block {k} must be a JSON object")
         blocks.append((_json_int(b, "start", f"block {k} "), _json_int(b, "end", f"block {k} ")))
-    score = _json_int(doc, "score", "")
-    return Segmentation(blocks=blocks, score=score, scheme=doc.get("scheme", ""))
+    return Segmentation(
+        blocks=blocks, score=_json_int(doc, "score", ""), scheme=doc.get("scheme", "")
+    )
 
 
 def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
@@ -124,7 +104,7 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
     """
     issues: list[str] = []
     if ext is None:
-        ext = _pipeline(msa)
+        ext = run_pipeline(msa).ext
     checker = oracle.SegmentChecker(msa)
     for x in range(msa.n):
         want = oracle.oracle_minimal_right_extension(msa, x, checker)
@@ -132,7 +112,7 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
             issues.append(f"extensions: x={x} computed f(x)={int(ext.f[x])}, oracle={want}")
             break
     for scheme in (MAXBLOCKS, MINMAXLEN):
-        table = _score(ext, scheme, msa.n)
+        table = score(ext, scheme)
         want = oracle.oracle_optimal_score(msa, scheme)
         if table.score() != want:
             issues.append(f"{scheme}: computed score {table.score()}, oracle {want}")
@@ -140,7 +120,7 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
         if table.score() is None:
             continue
         seg = traceback(table, ext)
-        achieved = seg.b if scheme == MAXBLOCKS else seg.max_block_length()
+        achieved = oracle.oracle_segmentation_score(seg.blocks, scheme)
         if achieved != table.score():
             issues.append(f"{scheme}: traceback achieves {achieved}, table says {table.score()}")
         bad = [(a, b) for a, b in seg.blocks if not checker.is_valid(a, b)]
@@ -167,6 +147,9 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"--sigma must be in 1..{len(oracle._LETTERS)}")
     if not (0 <= args.gap_prob < 1 and round(args.gap_prob * 1000) < 1000):
         raise ValueError("--gap-prob must be at least 0 and round to below 1 in thousandths")
+    # the pipeline's int32 limits, for n columns and at most m (n + 1) symbols
+    # and terminators: no alignment past them is generated
+    check_size_limits(args.cols, args.rows * (args.cols + 1))
     spec = oracle.RandomMsaSpec(
         seed=args.seed, m=args.rows, n=args.cols, sigma=args.sigma, gap_prob=args.gap_prob
     )
@@ -176,7 +159,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_extensions(args) -> int:
     msa = _load_msa(args.input)
-    ext = _pipeline(msa)
+    ext = run_pipeline(msa).ext
     lines = "".join(f"{x}\t{int(ext.f[x])}\n" for x in range(msa.n))
     _write_output(args.output, lines)
     return EXIT_OK
@@ -184,7 +167,7 @@ def _cmd_extensions(args) -> int:
 
 def _cmd_segment(args) -> int:
     msa = _load_msa(args.input)
-    seg = _segmentation(msa, args.score)
+    seg = run_pipeline(msa, args.score).segmentation()
     text = segmentation_to_json(seg)
     if args.emit_graph:
         # the graph's JSON goes in one level deeper as key "graph", which
@@ -201,7 +184,7 @@ def _cmd_export(args) -> int:
     if args.segmentation:
         seg = segmentation_from_json(_read_input(args.segmentation))
     else:
-        seg = _segmentation(msa, args.score)
+        seg = run_pipeline(msa, args.score).segmentation()
     efg = build_efg(msa, seg)
     text = {"gfa": export_gfa, "dot": export_dot, "json": export_json}[args.format](efg)
     _write_output(args.output, text)
@@ -223,7 +206,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     msa = _load_msa(args.input)
-    seg = _segmentation(msa, args.score)
+    seg = run_pipeline(msa, args.score).segmentation()
     efg = build_efg(msa, seg)
     doc = {
         "m": msa.m,

@@ -129,8 +129,11 @@ class ScoreTable:
     scheme: str
     s: np.ndarray
     pred: np.ndarray
-    n: int
     op_count: int
+
+    @property
+    def n(self) -> int:
+        return len(self.s) - 1
 
     def score(self, j: int | None = None) -> int | None:
         """Optimal score of prefix [1..j] (default j = n); None if unsegmentable."""
@@ -165,7 +168,7 @@ def score_max_blocks(ext: ExtensionTable) -> ScoreTable:
     """Maximize the number of blocks."""
     xs, fs = ext.pairs_by_f()
     s, pred, ops = _max_blocks_kernel(xs, fs, ext.n)
-    return ScoreTable(scheme=MAXBLOCKS, s=s, pred=pred, n=ext.n, op_count=int(ops))
+    return ScoreTable(scheme=MAXBLOCKS, s=s, pred=pred, op_count=int(ops))
 
 
 def score_min_max_length(pairs: tuple[np.ndarray, np.ndarray], n: int) -> ScoreTable:
@@ -182,13 +185,23 @@ def score_min_max_length(pairs: tuple[np.ndarray, np.ndarray], n: int) -> ScoreT
     if n and (xs.min() < 0 or xs.max() >= n or fs.min() < 1 or fs.max() > n + 1):
         raise ValueError("extension pair values out of range")
     s, pred, ops = _min_max_len_kernel(xs, fs, n)
-    return ScoreTable(scheme=MINMAXLEN, s=s, pred=pred, n=n, op_count=int(ops))
+    return ScoreTable(scheme=MINMAXLEN, s=s, pred=pred, op_count=int(ops))
+
+
+def score(ext: ExtensionTable, scheme: str) -> ScoreTable:
+    """The score table of ``scheme``, MAXBLOCKS or MINMAXLEN; the one place
+    that picks a DP by scheme."""
+    if scheme == MAXBLOCKS:
+        return score_max_blocks(ext)
+    if scheme == MINMAXLEN:
+        return score_min_max_length(ext.pairs_by_f(), ext.n)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def traceback(table: ScoreTable, ext: ExtensionTable) -> Segmentation:
     """Recover an optimal segmentation from the witness predecessors."""
-    score = table.score()
-    if score is None:
+    best = table.score()
+    if best is None:
         raise UnsegmentableError("no semi-repeat-free segmentation exists")
     blocks: list[tuple[int, int]] = []
     j = table.n
@@ -199,4 +212,4 @@ def traceback(table: ScoreTable, ext: ExtensionTable) -> Segmentation:
         blocks.append((x + 1, j))
         j = x
     blocks.reverse()
-    return Segmentation(blocks=blocks, score=score, scheme=table.scheme)
+    return Segmentation(blocks=blocks, score=best, scheme=table.scheme)

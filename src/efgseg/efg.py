@@ -322,19 +322,3 @@ def export_json(efg: Efg) -> str:
         f'{{\n  "blocks": {_json_array(blocks, "  ")},\n  "edges": {_json_array(edges, "  ")},'
         f'\n  "paths": {_json_array(paths, "  ")}\n}}\n'
     )
-
-
-def parse_gfa(text: str):
-    """Node, edge, and path sets from GFA text (round-trip checks)."""
-    nodes: dict[str, str] = {}
-    edges: set[tuple[str, str]] = set()
-    paths: dict[str, list[str]] = {}
-    for line in text.splitlines():
-        fields = line.split("\t")
-        if fields[0] == "S":
-            nodes[fields[1]] = fields[2]
-        elif fields[0] == "L":
-            edges.add((fields[1], fields[3]))
-        elif fields[0] == "P":
-            paths[fields[1]] = [s.rstrip("+-") for s in fields[2].split(",")]
-    return nodes, edges, paths

@@ -54,8 +54,11 @@ class ExtensionTable:
     """
 
     f: np.ndarray
-    n: int
     op_count: int
+
+    @property
+    def n(self) -> int:
+        return len(self.f)
 
     def pairs_by_f(self) -> tuple[np.ndarray, np.ndarray]:
         """(xs, fs) with all n pairs (x, f(x)) sorted ascending by f.
@@ -94,4 +97,4 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
         right = _segmented_min(lcp[flat + 1], run, big, reverse=True)
         f[cols] = gst.columns[gst.sa[flat] + np.maximum(left, right)].reshape(-1, m).max(axis=1)
         ops += flat.size * (sort_passes + 3)
-    return ExtensionTable(f=f, n=n, op_count=ops)
+    return ExtensionTable(f=f, op_count=ops)

@@ -165,18 +165,6 @@ def to_fasta(msa: Msa) -> str:
     return "".join(out)
 
 
-def spell(msa: Msa, i: int, x: int, y: int) -> str:
-    """Row i restricted to columns [x..y] with gaps removed.
-
-    x = y + 1 yields the empty string.
-    """
-    if not 1 <= i <= msa.m:
-        raise MsaError(f"row index {i} out of range [1..{msa.m}]")
-    if not (1 <= x <= y + 1 and y <= msa.n):
-        raise MsaError(f"column range [{x}..{y}] out of range for n={msa.n}")
-    return msa.rows[i - 1][x - 1 : y].replace(GAP, "")
-
-
 class GapIndex:
     """Rank array over the non-gap positions of each row.
 

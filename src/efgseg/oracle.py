@@ -146,44 +146,14 @@ def oracle_optimal_score(msa: Msa, scheme: str) -> int | None:
     return s[n]
 
 
-# -- tree oracle --------------------------------------------------------------
-
-
-def oracle_exclusive_ancestors(tree, leaf_ranks) -> set[int]:
-    """All nodes covering only query leaves whose parent covers a non-query leaf.
-
-    Recomputes leaf order and coverage by its own traversal of the children
-    lists; quadratic and independent of the tree's preprocessed intervals.
-    """
-    L = set(int(r) for r in leaf_ranks)
-    if not L:
-        raise ValueError("query leaf set is empty")
-    order: list[int] = []
-    stack = [int(tree.root)]
-    parent: dict[int, int] = {int(tree.root): -1}
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        kids = tree.children(v)
-        for c in reversed(kids):
-            parent[int(c)] = v
-            stack.append(int(c))
-    ranks: dict[int, int] = {}
-    under: dict[int, set[int]] = {}
-    for v in order:
-        if not tree.children(v):
-            ranks[v] = len(ranks)
-    for v in reversed(order):
-        kids = tree.children(v)
-        if not kids:
-            under[v] = {ranks[v]}
-        else:
-            under[v] = set().union(*(under[int(c)] for c in kids))
-    result = set()
-    for v in order:
-        if under[v] <= L and (parent[v] == -1 or not under[parent[v]] <= L):
-            result.add(v)
-    return result
+def oracle_segmentation_score(blocks, scheme: str) -> int:
+    """The score the segmentation ``blocks`` achieves under ``scheme``: its
+    block count, or its longest block's length."""
+    if scheme == MAXBLOCKS:
+        return len(blocks)
+    if scheme == MINMAXLEN:
+        return max(y - x + 1 for x, y in blocks)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 # -- founder graph oracle ------------------------------------------------------

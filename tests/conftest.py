@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import efgseg as E
-from efgseg.msa import MsaError
+from efgseg.msa import GAP, MsaError
 
 
 @pytest.fixture
@@ -31,16 +31,16 @@ def kth_nongap_column(msa, i, k):
     return cols[k - 1] if k <= len(cols) else msa.n + 1
 
 
-def build_pipeline(msa):
-    gi = E.GapIndex(msa)
-    gst = E.build_gst(msa)
-    ext = E.compute_minimal_right_extensions(msa, gi, gst)
-    return gi, gst, ext
+def spell(msa, i, x, y):
+    """Row i restricted to columns [x..y] with gaps removed.
 
-
-@pytest.fixture
-def pipeline():
-    return build_pipeline
+    x = y + 1 yields the empty string.
+    """
+    if not 1 <= i <= msa.m:
+        raise MsaError(f"row index {i} out of range [1..{msa.m}]")
+    if not (1 <= x <= y + 1 and y <= msa.n):
+        raise MsaError(f"column range [{x}..{y}] out of range for n={msa.n}")
+    return msa.rows[i - 1][x - 1 : y].replace(GAP, "")
 
 
 def _lcp_interval_tree(lcp, n_leaves):
@@ -153,6 +153,43 @@ class SuffixTree:
         codes = self.gst.text[start : start + int(self.string_depth[node])]
         inv = {v: k for k, v in self.sym_code.items()}
         return "".join(inv[c] if c in inv else f"${c}" for c in codes.tolist())
+
+
+def oracle_exclusive_ancestors(tree, leaf_ranks) -> set[int]:
+    """All nodes covering only query leaves whose parent covers a non-query leaf.
+
+    Recomputes leaf order and coverage by its own traversal of the children
+    lists; quadratic and independent of the tree's preprocessed intervals.
+    """
+    L = set(int(r) for r in leaf_ranks)
+    if not L:
+        raise ValueError("query leaf set is empty")
+    order: list[int] = []
+    stack = [int(tree.root)]
+    parent: dict[int, int] = {int(tree.root): -1}
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        kids = tree.children(v)
+        for c in reversed(kids):
+            parent[int(c)] = v
+            stack.append(int(c))
+    ranks: dict[int, int] = {}
+    under: dict[int, set[int]] = {}
+    for v in order:
+        if not tree.children(v):
+            ranks[v] = len(ranks)
+    for v in reversed(order):
+        kids = tree.children(v)
+        if not kids:
+            under[v] = {ranks[v]}
+        else:
+            under[v] = set().union(*(under[int(c)] for c in kids))
+    result = set()
+    for v in order:
+        if under[v] <= L and (parent[v] == -1 or not under[parent[v]] <= L):
+            result.add(v)
+    return result
 
 
 def near_identical_msa(seed, m, n, snp_rate, gap_rate):

@@ -13,18 +13,18 @@ import pytest
 
 import efgseg as E
 from efgseg import oracle as O
-from efgseg.dp import MAXBLOCKS, MINMAXLEN, score_max_blocks, score_min_max_length, traceback
-from efgseg.msa import spell
-from tests.conftest import SuffixTree, build_pipeline, kth_nongap_column
+from efgseg.dp import MAXBLOCKS, MINMAXLEN, score, score_max_blocks, score_min_max_length, traceback
+from efgseg.pipeline import run_pipeline
+from tests.conftest import SuffixTree, kth_nongap_column, oracle_exclusive_ancestors, spell
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def warmup():
     msa = E.parse_aligned_fasta(">r1\nAG-C\n>r2\nA-GC\n")
-    _, _, ext = build_pipeline(msa)
-    score_max_blocks(ext)
-    score_min_max_length(ext.pairs_by_f(), msa.n)
+    ext = run_pipeline(msa).ext
+    score(ext, MAXBLOCKS)
+    score(ext, MINMAXLEN)
 
 
 def spec_stream(count, base_seed, max_m, max_n):
@@ -46,7 +46,7 @@ def test_c1_extension_correctness():
     checked = 0
     for spec in spec_stream(1000, base_seed=100_000, max_m=8, max_n=40):
         msa = O.generate_msa(spec)
-        _, _, ext = build_pipeline(msa)
+        ext = run_pipeline(msa).ext
         checker = O.SegmentChecker(msa)
         for x in range(msa.n):
             want = O.oracle_minimal_right_extension(msa, x, checker)
@@ -69,13 +69,14 @@ def test_c2_exclusive_ancestor_correctness():
     columns = 0
     for spec in spec_stream(1000, base_seed=200_000, max_m=6, max_n=24):
         msa = O.generate_msa(spec)
-        gi, gst, ext = build_pipeline(msa)
+        gi, gst = E.GapIndex(msa), E.build_gst(msa)
+        ext = E.compute_minimal_right_extensions(msa, gi, gst)
         tree = SuffixTree(gst)
         for x in range(msa.n):
             leaves = gst.isa[gst.row_starts + gi.rank2d[:, x]].tolist()
             covered = []
             fx = 0
-            for v in O.oracle_exclusive_ancestors(tree, leaves):
+            for v in oracle_exclusive_ancestors(tree, leaves):
                 g = int(tree.string_depth[tree.parent[v]]) + 1
                 for q in range(int(tree.lml[v]), int(tree.rml[v]) + 1):
                     i = tree.leaf_row[q]
@@ -99,21 +100,17 @@ def _c3_cases():
 def test_c3_dp_correctness():
     unseg = 0
     for spec, msa in _c3_cases():
-        _, _, ext = build_pipeline(msa)
+        ext = run_pipeline(msa).ext
         checker = O.SegmentChecker(msa)
         for scheme in (MAXBLOCKS, MINMAXLEN):
-            if scheme == MAXBLOCKS:
-                table = score_max_blocks(ext)
-            else:
-                table = score_min_max_length(ext.pairs_by_f(), msa.n)
+            table = score(ext, scheme)
             want = O.oracle_optimal_score(msa, scheme)
             assert table.score() == want, (spec, scheme, table.score(), want)
             if want is None:
                 unseg += 1
                 continue
             seg = traceback(table, ext)
-            achieved = seg.b if scheme == MAXBLOCKS else seg.max_block_length()
-            assert achieved == want, (spec, scheme)
+            assert O.oracle_segmentation_score(seg.blocks, scheme) == want, (spec, scheme)
             assert all(checker.is_valid(a, b) for a, b in seg.blocks), (spec, scheme)
     print(
         f"\nACCEPTANCE C3 PASS: both DP schemes match the oracle on 1000 MSAs "
@@ -123,19 +120,19 @@ def test_c3_dp_correctness():
 
 def test_c4_fixture_e_regression():
     msa = E.parse_aligned_fasta(">r1\nAG-C\n>r2\nA-GC\n")
-    _, _, ext = build_pipeline(msa)
+    ext = run_pipeline(msa).ext
     assert ext.f.tolist() == [1, 3, 5, 4]
     checker = O.SegmentChecker(msa)
     for x in range(msa.n):
         assert O.oracle_minimal_right_extension(msa, x, checker) == ext.f[x]
 
-    t1 = score_max_blocks(ext)
+    t1 = score(ext, MAXBLOCKS)
     seg1 = traceback(t1, ext)
     assert t1.score() == 3 == O.oracle_optimal_score(msa, MAXBLOCKS)
     assert seg1.blocks == [(1, 1), (2, 3), (4, 4)]
     assert all(checker.is_valid(a, b) for a, b in seg1.blocks)
 
-    t2 = score_min_max_length(ext.pairs_by_f(), msa.n)
+    t2 = score(ext, MINMAXLEN)
     assert t2.score() == 2 == O.oracle_optimal_score(msa, MINMAXLEN)
     print("\nACCEPTANCE C4 PASS: fixture {AG-C, A-GC} reproduces all derived values")
 
@@ -157,13 +154,10 @@ def _random_proper_segmentation(msa, rng):
 def test_c5_characterization_consistency():
     held = failed = 0
     for spec, msa in _c3_cases():
-        _, _, ext = build_pipeline(msa)
+        ext = run_pipeline(msa).ext
         checker = O.SegmentChecker(msa)
         for scheme in (MAXBLOCKS, MINMAXLEN):
-            if scheme == MAXBLOCKS:
-                table = score_max_blocks(ext)
-            else:
-                table = score_min_max_length(ext.pairs_by_f(), msa.n)
+            table = score(ext, scheme)
             if table.score() is None:
                 continue
             seg = traceback(table, ext)
@@ -191,7 +185,7 @@ def test_c5_characterization_consistency():
 def test_c6_monotone_extension_property():
     for spec in spec_stream(200, base_seed=600_000, max_m=6, max_n=30):
         msa = O.generate_msa(spec)
-        _, _, ext = build_pipeline(msa)
+        ext = run_pipeline(msa).ext
         checker = O.SegmentChecker(msa)
         for x in range(msa.n):
             for y in range(int(ext.f[x]), msa.n + 1):
@@ -220,12 +214,10 @@ def test_c7_linear_scaling():
 
     inputs = {}
     for n in sizes:
-        build_pipeline(datasets[n][0])  # one untimed run at this size
+        run_pipeline(datasets[n][0])  # one untimed run at this size
         pairs_sets = []
         for msa in datasets[n]:
-            gi = E.GapIndex(msa)
-            gst = E.build_gst(msa)
-            ext = E.compute_minimal_right_extensions(msa, gi, gst)
+            ext = run_pipeline(msa).ext
             assert ext.op_count <= 64 * m * n + 64, (n, ext.op_count)
             pairs = ext.pairs_by_f()
             t1 = score_max_blocks(ext)
@@ -242,7 +234,7 @@ def test_c7_linear_scaling():
         for n in sizes:
             t0 = time.perf_counter()
             for msa in datasets[n]:
-                build_pipeline(msa)
+                run_pipeline(msa)
             pre_samples[n].append((time.perf_counter() - t0) / variants)
 
             reps = max(64, 2_400_000 // n)
@@ -275,12 +267,7 @@ def test_c7_linear_scaling():
 def test_c8_export_stability():
     for name, scheme in (("e", MINMAXLEN), ("single", MAXBLOCKS), ("gappy", MINMAXLEN)):
         msa = E.parse_aligned_fasta((GOLDEN / f"{name}.fa").read_text())
-        _, _, ext = build_pipeline(msa)
-        if scheme == MAXBLOCKS:
-            table = score_max_blocks(ext)
-        else:
-            table = score_min_max_length(ext.pairs_by_f(), msa.n)
-        efg = E.build_efg(msa, traceback(table, ext))
+        efg = E.build_efg(msa, run_pipeline(msa, scheme).segmentation())
         assert E.export_gfa(efg) == (GOLDEN / f"{name}.gfa").read_text(), name
         assert E.export_dot(efg) == (GOLDEN / f"{name}.dot").read_text(), name
         assert E.export_json(efg) == (GOLDEN / f"{name}.json").read_text(), name

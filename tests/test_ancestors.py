@@ -9,7 +9,7 @@ import random
 
 import efgseg as E
 from efgseg import oracle as O
-from tests.conftest import SuffixTree
+from tests.conftest import SuffixTree, oracle_exclusive_ancestors
 from tests.test_extensions import _ascend_run
 
 
@@ -50,7 +50,7 @@ def test_single_leaf_query(msa_e):
     for leaf in range(tree.n_leaves):
         out, _ = climb(tree, [leaf])
         assert out == [(leaf, (leaf, leaf))]
-        assert O.oracle_exclusive_ancestors(tree, [leaf]) == {leaf}
+        assert oracle_exclusive_ancestors(tree, [leaf]) == {leaf}
 
 
 def test_subtree_is_single_ancestor(msa_e):
@@ -60,14 +60,14 @@ def test_subtree_is_single_ancestor(msa_e):
         lo, hi = int(tree.lml[v]), int(tree.rml[v])
         out, _ = climb(tree, range(lo, hi + 1))
         assert out == [(v, (lo, hi))]
-        assert O.oracle_exclusive_ancestors(tree, range(lo, hi + 1)) == {v}
+        assert oracle_exclusive_ancestors(tree, range(lo, hi + 1)) == {v}
 
 
 def test_full_leaf_set_returns_root(msa_e):
     tree = SuffixTree(E.build_gst(msa_e))
     out, _ = climb(tree, range(tree.n_leaves))
     assert [node for node, _ in out] == [tree.root]
-    assert O.oracle_exclusive_ancestors(tree, range(tree.n_leaves)) == {tree.root}
+    assert oracle_exclusive_ancestors(tree, range(tree.n_leaves)) == {tree.root}
 
 
 def test_gst_examples(msa_e):
@@ -89,7 +89,7 @@ def test_random_trees_match_oracle():
         size = rng.randint(1, tree.n_leaves)
         query = rng.sample(range(tree.n_leaves), size)
         out, _ = climb(tree, query)
-        assert {node for node, _ in out} == O.oracle_exclusive_ancestors(tree, query), seed
+        assert {node for node, _ in out} == oracle_exclusive_ancestors(tree, query), seed
         covered = set()
         for node, (lo, hi) in out:
             assert (lo, hi) == (int(tree.lml[node]), int(tree.rml[node]))

@@ -1,7 +1,9 @@
+import contextlib
 import io
 import json
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 import efgseg.cli as cli
 from efgseg.extensions import ExtensionTable
-from efgseg.msa import Msa, parse_aligned_fasta
+from efgseg.msa import DP_LIMIT, Msa, parse_aligned_fasta
+from efgseg.sais import RANK_LIMIT
 
 E_FASTA = ">r1\nAG-C\n>r2\nA-GC\n"
 AAA_FASTA = ">r1\nAAA\n"
@@ -128,6 +131,17 @@ def test_export_rejects_malformed_segmentation(tmp_path, capsys, doc):
     assert err.startswith("efgseg: error: segmentation: ")
 
 
+def test_export_rejects_deeply_nested_segmentation(tmp_path, capsys):
+    # json.loads raises RecursionError on this, which is not a ValueError
+    msa_path = write(tmp_path, "e.fa", E_FASTA)
+    depth = 200_000
+    seg_path = write(tmp_path, "deep.json", '{"blocks": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, "export", msa_path, "--segmentation", seg_path)
+    assert code == 1
+    assert out == ""
+    assert err == "efgseg: error: segmentation: the JSON nests too deeply to parse\n"
+
+
 def test_export_default_pipeline(tmp_path, capsys):
     path = write(tmp_path, "e.fa", E_FASTA)
     code, dot, _ = run(capsys, "export", path, "--format", "dot")
@@ -235,6 +249,32 @@ def test_gen_rejects_unusable_arguments(capsys, flag, value):
     assert err.startswith("efgseg: error: ") and flag in err
 
 
+class _Generated(Exception):
+    pass
+
+
+def test_gen_checks_size_limits_before_generating(capsys, monkeypatch):
+    # generate_msa raises at once, so no size here builds a row
+    def generated(spec):
+        raise _Generated((spec.m, spec.n))
+
+    monkeypatch.setattr(cli.oracle, "generate_msa", generated)
+    text_rows = RANK_LIMIT // (1 << 20)  # rows of 2^20 - 1 columns, plus terminators
+    for rows, cols, limit in [
+        (100_000_000_000, 1_000_000_000_000, "columns"),
+        (1, DP_LIMIT - 1, "columns"),
+        (text_rows, (1 << 20) - 1, "gaps-removed"),
+    ]:
+        code, out, err = run(capsys, "gen", "--seed", "1", "--rows", str(rows), "--cols", str(cols))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("efgseg: error: ") and limit in err
+    # one below each limit passes the check and reaches the generator
+    for rows, cols in [(1, DP_LIMIT - 2), (text_rows, (1 << 20) - 2)]:
+        with pytest.raises(_Generated):
+            cli.main(["gen", "--seed", "1", "--rows", str(rows), "--cols", str(cols)])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -286,7 +326,6 @@ def test_cross_check_reports_injected_mismatch():
     msa = parse_aligned_fasta(E_FASTA)
     tampered = ExtensionTable(
         f=np.array([1, 2, 5, 4], dtype=np.int64),  # f(1) off by one
-        n=4,
         op_count=0,
     )
     issues = cli.cross_check(msa, ext=tampered)
@@ -298,7 +337,7 @@ def test_cross_check_reports_block_where_a_row_spells_nothing():
     # f(2) = 3 lets traceback cut [3..3], where row 1 is a gap: the check
     # reports the block instead of building its graph
     msa = parse_aligned_fasta(E_FASTA)
-    tampered = ExtensionTable(f=np.array([1, 3, 3, 4], dtype=np.int64), n=4, op_count=0)
+    tampered = ExtensionTable(f=np.array([1, 3, 3, 4], dtype=np.int64), op_count=0)
     issues = cli.cross_check(msa, ext=tampered)
     assert any("x=2" in line for line in issues), issues
     assert any("[3..3]" in line for line in issues), issues
@@ -433,3 +472,99 @@ def test_one_process_runs_commands_in_turn(tmp_path, capsys):
     fresh = cli._make_parser.__wrapped__()
     for argv in calls:
         assert vars(cli._make_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+
+
+# -- the CLI never prints a traceback -------------------------------------------
+
+# Bytes a FASTA file may hold by mistake: a BOM, CR line ends, NUL, non-ASCII
+# (UTF-8 and Latin-1), a header with no sequence, and symbols rows may not hold.
+_FASTA_JUNK = [b"\xef\xbb\xbf", b"\r\n", b"\r", b"\x00", b"\xc3\x9f", b"\xff", b">", b">h\n",
+               b"\n", b" ", b"\t", b".", b"-", b"*", b"a", b"1"]
+
+# JSON values for the integers of a segmentation file: in range and not, huge
+# (5000 digits is past Python's int-to-string limit), fractional, NaN,
+# infinite, and not numbers at all.
+_JSON_INTS = ["1", "2", "3", "4", "0", "-1", "5", "99999999999999999999999", "9" * 5000,
+              "1.0", "1.5", "1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true", "null",
+              '"4"', "[]", "{}"]
+
+
+@st.composite
+def fuzz_fasta(draw):
+    """A tiny alignment of 1-3 rows by 1-5 columns, with up to 3 junk pieces
+    spliced in."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.text("ACG-", min_size=n, max_size=n), min_size=1, max_size=3))
+    data = bytearray("".join(f">r{i}\n{r}\n" for i, r in enumerate(rows, 1)).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data))):0] = draw(st.sampled_from(_FASTA_JUNK))
+    return bytes(data)
+
+
+@st.composite
+def fuzz_segmentation(draw):
+    """Segmentation JSON: blocks drawn from _JSON_INTS, or one nested deeper
+    than the JSON parser recurses."""
+    depth = draw(st.sampled_from([0, 0, 0, 1, 5000, 200_000]))
+    if depth:
+        return '{"blocks": ' + "[" * depth + "]" * depth + ', "score": 1}'
+    ints = st.sampled_from(_JSON_INTS)
+    blocks = draw(st.lists(st.tuples(ints, ints), max_size=4))
+    body = ", ".join(f'{{"start": {a}, "end": {b}}}' for a, b in blocks)
+    return f'{{"blocks": [{body}], "score": {draw(ints)}, "scheme": "maxblocks"}}'
+
+
+_FUZZ_COMMANDS = [
+    ["extensions"],
+    ["segment", "--score", "maxblocks"],
+    ["segment", "--score", "minmaxlen", "--emit-graph"],
+    ["export", "--format", "gfa"],
+    ["export", "--score", "maxblocks", "--format", "dot"],
+    ["stats"],
+    ["validate"],
+]
+
+# gen arguments that are rejected before any row is generated
+_GEN_REJECTED = [
+    ["--rows", "0", "--cols", "5"],
+    ["--rows", "2", "--cols", "-1"],
+    ["--rows", "2", "--cols", "5", "--sigma", "25"],
+    ["--rows", "2", "--cols", "5", "--gap-prob", "nan"],
+    ["--rows", "2", "--cols", "5", "--gap-prob", "1"],
+    ["--rows", "100000000000", "--cols", "1000000000000"],
+    ["--rows", "2", "--cols", "five"],
+]
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_cli_never_prints_a_traceback(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    fasta_path, seg_path = tmp / "in.fa", tmp / "seg.json"
+    fasta_path.write_bytes(data.draw(fuzz_fasta()))
+    kind = data.draw(st.sampled_from(["command", "segmentation", "gen"]))
+    if kind == "command":
+        argv = [*data.draw(st.sampled_from(_FUZZ_COMMANDS)), str(fasta_path)]
+    elif kind == "segmentation":
+        seg_path.write_text(data.draw(fuzz_segmentation()))
+        export_format = data.draw(st.sampled_from(["gfa", "dot", "json"]))
+        argv = ["export", str(fasta_path), "--segmentation", str(seg_path), "--format", export_format]
+    else:
+        argv = ["gen", "--seed", "1", *data.draw(st.sampled_from(_GEN_REJECTED))]
+    # a gen that got past its checks would raise here, not run on and on
+    with mock.patch.object(cli.oracle, "generate_msa", side_effect=_Generated):
+        code, err = _main_in_process(argv)
+    assert code in {0, 1, 2, 3}, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if kind == "gen":
+        assert code == 1, (argv, err)

@@ -10,12 +10,13 @@ from efgseg.dp import (
     MAXBLOCKS,
     MINMAXLEN,
     UnsegmentableError,
-    score_max_blocks,
+    score,
     score_min_max_length,
     traceback,
 )
 from efgseg.msa import Msa
-from tests.conftest import build_pipeline, near_identical_msa
+from efgseg.pipeline import run_pipeline
+from tests.conftest import near_identical_msa
 
 # The DP kernels as loops over numpy scalars: the statements of the list
 # kernels in efgseg.dp over int32 arrays, kept to check the list versions.
@@ -119,8 +120,8 @@ def scores(table):
 
 
 def test_fixture_e_max_blocks(msa_e):
-    _, _, ext = build_pipeline(msa_e)
-    table = score_max_blocks(ext)
+    ext = run_pipeline(msa_e).ext
+    table = score(ext, MAXBLOCKS)
     assert scores(table) == [0, 1, 1, 2, 3]
     seg = traceback(table, ext)
     assert seg.blocks == [(1, 1), (2, 3), (4, 4)]
@@ -128,8 +129,8 @@ def test_fixture_e_max_blocks(msa_e):
 
 
 def test_fixture_e_min_max_length(msa_e):
-    _, _, ext = build_pipeline(msa_e)
-    table = score_min_max_length(ext.pairs_by_f(), msa_e.n)
+    ext = run_pipeline(msa_e).ext
+    table = score(ext, MINMAXLEN)
     assert scores(table) == [0, 1, 2, 2, 2]
     seg = traceback(table, ext)
     assert seg.blocks == [(1, 1), (2, 3), (4, 4)]
@@ -137,11 +138,11 @@ def test_fixture_e_min_max_length(msa_e):
 
 
 def test_aaa_forced_single_block(msa_aaa):
-    _, _, ext = build_pipeline(msa_aaa)
-    t1 = score_max_blocks(ext)
+    ext = run_pipeline(msa_aaa).ext
+    t1 = score(ext, MAXBLOCKS)
     assert scores(t1) == [0, None, None, 1]
     assert traceback(t1, ext).blocks == [(1, 3)]
-    t2 = score_min_max_length(ext.pairs_by_f(), 3)
+    t2 = score(ext, MINMAXLEN)
     assert t2.score() == 3
     assert traceback(t2, ext).blocks == [(1, 3)]
 
@@ -149,21 +150,21 @@ def test_aaa_forced_single_block(msa_aaa):
 def test_all_singletons():
     # distinct symbols everywhere: every column is its own valid block
     msa = Msa.from_rows(["ABC"])
-    _, _, ext = build_pipeline(msa)
+    ext = run_pipeline(msa).ext
     assert ext.f.tolist() == [1, 2, 3]
-    t1 = score_max_blocks(ext)
+    t1 = score(ext, MAXBLOCKS)
     assert scores(t1) == [0, 1, 2, 3]
-    t2 = score_min_max_length(ext.pairs_by_f(), 3)
+    t2 = score(ext, MINMAXLEN)
     assert scores(t2) == [0, 1, 1, 1]
     assert traceback(t2, ext).blocks == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_unsegmentable():
     msa = Msa.from_rows(["A-B-", "AABB"])
-    _, _, ext = build_pipeline(msa)
+    ext = run_pipeline(msa).ext
     assert ext.f.tolist() == [5, 5, 5, 5]
-    t1 = score_max_blocks(ext)
-    t2 = score_min_max_length(ext.pairs_by_f(), msa.n)
+    t1 = score(ext, MAXBLOCKS)
+    t2 = score(ext, MINMAXLEN)
     assert t1.score() is None and t2.score() is None
     assert O.oracle_optimal_score(msa, MAXBLOCKS) is None
     with pytest.raises(UnsegmentableError):
@@ -180,9 +181,9 @@ def test_matches_oracle_random():
             sigma=rng.choice([2, 4]), gap_prob=0.2,
         )
         msa = O.generate_msa(spec)
-        _, _, ext = build_pipeline(msa)
-        t1 = score_max_blocks(ext)
-        t2 = score_min_max_length(ext.pairs_by_f(), msa.n)
+        ext = run_pipeline(msa).ext
+        t1 = score(ext, MAXBLOCKS)
+        t2 = score(ext, MINMAXLEN)
         assert t1.score() == O.oracle_optimal_score(msa, MAXBLOCKS), seed
         assert t2.score() == O.oracle_optimal_score(msa, MINMAXLEN), seed
         checker = O.SegmentChecker(msa)
@@ -190,7 +191,7 @@ def test_matches_oracle_random():
             if table.score() is None:
                 continue
             seg = traceback(table, ext)
-            achieved = seg.b if table.scheme == MAXBLOCKS else seg.max_block_length()
+            achieved = O.oracle_segmentation_score(seg.blocks, table.scheme)
             assert achieved == table.score(), (seed, table.scheme)
             assert seg.blocks[0][0] == 1 and seg.blocks[-1][1] == msa.n
             for (_, e1), (s2, _) in zip(seg.blocks, seg.blocks[1:]):
@@ -201,8 +202,8 @@ def test_matches_oracle_random():
 def test_max_blocks_monotone_once_finite():
     for seed in range(40):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 900, m=4, n=20))
-        _, _, ext = build_pipeline(msa)
-        table = score_max_blocks(ext)
+        ext = run_pipeline(msa).ext
+        table = score(ext, MAXBLOCKS)
         vals = scores(table)
         finite = [v for v in vals[1:] if v is not None]
         assert all(a <= b for a, b in zip(finite, finite[1:]))
@@ -214,8 +215,8 @@ def test_min_max_internal_invariant():
     for seed in range(60):
         rng = random.Random(seed)
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 1300, m=rng.randint(1, 5), n=20))
-        _, _, ext = build_pipeline(msa)
-        table = score_min_max_length(ext.pairs_by_f(), msa.n)
+        ext = run_pipeline(msa).ext
+        table = score(ext, MINMAXLEN)
         n = msa.n
         s = [table.score(j) for j in range(n + 1)]
         xs, fs = ext.pairs_by_f()
@@ -256,8 +257,8 @@ def test_leader_boundary_pair_is_usable():
     # boundary; it must be taken as a leader segment at that very column.
     # here x=3 is the unique achiever of s(7) = 4 = 7 - 3.
     msa = Msa.from_rows(["-AA-CAC", "AACC--A"])
-    _, _, ext = build_pipeline(msa)
-    table = score_min_max_length(ext.pairs_by_f(), msa.n)
+    ext = run_pipeline(msa).ext
+    table = score(ext, MINMAXLEN)
     x = 3
     assert int(ext.f[x]) == 7 and table.score(x) == 3  # boundary: 7 == 3 + 3 + 1
     assert table.score(7) == 4 == O.oracle_optimal_score(msa, MINMAXLEN)
@@ -265,8 +266,23 @@ def test_leader_boundary_pair_is_usable():
     assert seg.blocks[-1] == (4, 7)
 
 
+def test_score_dispatches_on_scheme(msa_e):
+    ext = run_pipeline(msa_e).ext
+    assert scores(score(ext, MAXBLOCKS)) == scores(D.score_max_blocks(ext))
+    assert scores(score(ext, MINMAXLEN)) == scores(score_min_max_length(ext.pairs_by_f(), 4))
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        score(ext, "bogus")
+
+
+def test_score_table_n_is_its_length(msa_e):
+    table = score(run_pipeline(msa_e).ext, MINMAXLEN)
+    assert table.n == len(table.s) - 1 == 4
+    with pytest.raises(AttributeError):
+        table.n = 5
+
+
 def test_min_max_input_validation(msa_e):
-    _, _, ext = build_pipeline(msa_e)
+    ext = run_pipeline(msa_e).ext
     xs, fs = ext.pairs_by_f()
     with pytest.raises(ValueError, match="sorted"):
         score_min_max_length((xs[::-1].copy(), fs[::-1].copy()), msa_e.n)
@@ -277,9 +293,9 @@ def test_min_max_input_validation(msa_e):
 def test_work_counters_linear():
     for seed in range(20):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 1700, m=4, n=64))
-        _, _, ext = build_pipeline(msa)
-        t1 = score_max_blocks(ext)
-        t2 = score_min_max_length(ext.pairs_by_f(), msa.n)
+        ext = run_pipeline(msa).ext
+        t1 = score(ext, MAXBLOCKS)
+        t2 = score(ext, MINMAXLEN)
         assert t1.op_count <= 8 * msa.n + 8
         assert t2.op_count <= 8 * msa.n + 8
 
@@ -287,9 +303,9 @@ def test_work_counters_linear():
 def test_score_table_bounds():
     for seed in range(30):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 2100, m=3, n=18))
-        _, _, ext = build_pipeline(msa)
-        t1 = score_max_blocks(ext)
-        t2 = score_min_max_length(ext.pairs_by_f(), msa.n)
+        ext = run_pipeline(msa).ext
+        t1 = score(ext, MAXBLOCKS)
+        t2 = score(ext, MINMAXLEN)
         for j in range(1, msa.n + 1):
             v1 = t1.score(j)
             assert v1 is None or 1 <= v1 <= j
@@ -298,7 +314,7 @@ def test_score_table_bounds():
 
 
 def assert_kernels_match_reference(msa):
-    _, _, ext = build_pipeline(msa)
+    ext = run_pipeline(msa).ext
     xs, fs = ext.pairs_by_f()
     for kernel, reference in ((D._max_blocks_kernel, reference_max_blocks),
                               (D._min_max_len_kernel, reference_min_max_len)):

@@ -20,11 +20,26 @@ from efgseg.efg import (
     export_dot,
     export_gfa,
     export_json,
-    parse_gfa,
 )
-from efgseg.msa import Msa, spell
+from efgseg.msa import Msa
 from tests import loop_reference
-from tests.conftest import build_pipeline, near_identical_msa
+from tests.conftest import near_identical_msa, spell
+
+
+def parse_gfa(text: str):
+    """Node, edge, and path sets from GFA text (round-trip checks)."""
+    nodes: dict[str, str] = {}
+    edges: set[tuple[str, str]] = set()
+    paths: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        fields = line.split("\t")
+        if fields[0] == "S":
+            nodes[fields[1]] = fields[2]
+        elif fields[0] == "L":
+            edges.add((fields[1], fields[3]))
+        elif fields[0] == "P":
+            paths[fields[1]] = [s.rstrip("+-") for s in fields[2].split(",")]
+    return nodes, edges, paths
 
 
 def seg_of(blocks, scheme="minmaxlen"):
@@ -82,11 +97,10 @@ def test_every_row_spelled_by_its_path():
     for seed in range(25):
         rng = random.Random(seed)
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 30, m=4, n=16))
-        _, _, ext = build_pipeline(msa)
-        table = E.score_min_max_length(ext.pairs_by_f(), msa.n)
-        if table.score() is None:
+        run = E.run_pipeline(msa, "minmaxlen")
+        if run.table.score() is None:
             continue
-        seg = E.traceback(table, ext)
+        seg = run.segmentation()
         efg = build_efg(msa, seg)
         nodes = {nd.id: nd for block in efg.blocks for nd in block}
         for name, ids in efg.paths:
@@ -258,8 +272,8 @@ def assert_graph_matches_reference(msa, blocks):
 def segmentations(msa, rng):
     """One block, both DP optima (maxblocks has the most blocks) and random cuts."""
     yield [(1, msa.n)]
-    _, _, ext = build_pipeline(msa)
-    for table in (E.score_max_blocks(ext), E.score_min_max_length(ext.pairs_by_f(), msa.n)):
+    ext = E.run_pipeline(msa).ext
+    for table in (E.score(ext, "maxblocks"), E.score(ext, "minmaxlen")):
         if table.score() is not None:
             yield E.traceback(table, ext).blocks
     cuts = sorted(rng.sample(range(1, msa.n), min(msa.n - 1, rng.randint(0, 6))))
@@ -451,9 +465,8 @@ def test_gfa_roundtrip_property(data):
     tokens = data.draw(st.lists(token, min_size=m, max_size=m, unique=True))
     tails = data.draw(st.lists(st.sampled_from(["", " x", "\tlong header"]), min_size=m, max_size=m))
     msa = E.parse_aligned_fasta("".join(f">{t}{tail}\n{r}\n" for t, tail, r in zip(tokens, tails, rows)))
-    _, _, ext = build_pipeline(msa)
-    table = E.score_min_max_length(ext.pairs_by_f(), msa.n)
-    segs = [[(1, n)]] + ([E.traceback(table, ext).blocks] if table.score() is not None else [])
+    run = E.run_pipeline(msa, "minmaxlen")
+    segs = [[(1, n)]] + ([run.segmentation().blocks] if run.table.score() is not None else [])
     # GFA 1 names do not start with '*' or '='
     forbidden = next((i for i, t in enumerate(tokens, start=1) if t[0] in "*="), None)
     for blocks in segs:

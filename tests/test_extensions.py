@@ -6,8 +6,9 @@ import pytest
 import efgseg as E
 from efgseg import extensions as X
 from efgseg import oracle as O
-from efgseg.msa import GAP, Msa, MsaError, spell
-from tests.conftest import SuffixTree, build_pipeline, kth_nongap_column, near_identical_msa
+from efgseg.msa import GAP, Msa, MsaError
+from efgseg.pipeline import run_pipeline
+from tests.conftest import SuffixTree, kth_nongap_column, near_identical_msa, spell
 
 
 def _ascend_run(parent, lml, rml, leaf_nodes, lb, rb):
@@ -79,29 +80,30 @@ def reference_sweep(msa, gi, gst):
 
 
 def assert_matches_reference(msa):
-    gi, gst, ext = build_pipeline(msa)
+    gi, gst = E.GapIndex(msa), E.build_gst(msa)
+    ext = E.compute_minimal_right_extensions(msa, gi, gst)
     assert ext.f.tolist() == reference_sweep(msa, gi, gst).tolist()
 
 
 def test_two_distinct_singletons():
-    _, _, ext = build_pipeline(Msa.from_rows(["A", "C"]))
+    ext = run_pipeline(Msa.from_rows(["A", "C"])).ext
     assert ext.f.tolist() == [1]
 
 
 def test_aaa(msa_aaa):
-    _, _, ext = build_pipeline(msa_aaa)
+    ext = run_pipeline(msa_aaa).ext
     assert ext.f.tolist() == [3, 4, 4]
 
 
 def test_fixture_e(msa_e):
-    _, _, ext = build_pipeline(msa_e)
+    ext = run_pipeline(msa_e).ext
     assert ext.f.tolist() == [1, 3, 5, 4]
 
 
 def test_f_lower_bound_and_sentinel():
     for seed in range(30):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed, m=4, n=20))
-        _, _, ext = build_pipeline(msa)
+        ext = run_pipeline(msa).ext
         for x in range(msa.n):
             assert x + 1 <= ext.f[x] <= msa.n + 1
 
@@ -114,7 +116,7 @@ def test_matches_oracle_random():
             sigma=rng.choice([2, 4]), gap_prob=0.2,
         )
         msa = O.generate_msa(spec)
-        _, _, ext = build_pipeline(msa)
+        ext = run_pipeline(msa).ext
         checker = O.SegmentChecker(msa)
         for x in range(msa.n):
             assert ext.f[x] == O.oracle_minimal_right_extension(msa, x, checker), (seed, x)
@@ -175,7 +177,7 @@ def test_matches_reference_sweep_large():
 def test_monotone_extension_property():
     for seed in range(40):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 50, m=4, n=16))
-        _, _, ext = build_pipeline(msa)
+        ext = run_pipeline(msa).ext
         checker = O.SegmentChecker(msa)
         for x in range(msa.n):
             for y in range(int(ext.f[x]), msa.n + 1):
@@ -199,7 +201,8 @@ def test_minimal_extension_covers_exactly_m_leaves():
     # row; any earlier y either spells an empty row string or covers more
     for seed in range(12):
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 160, m=3, n=12, sigma=2))
-        _, gst, ext = build_pipeline(msa)
+        gst = E.build_gst(msa)
+        ext = E.compute_minimal_right_extensions(msa, E.GapIndex(msa), gst)
         tree = SuffixTree(gst)
         for x in range(msa.n):
             fx = int(ext.f[x])
@@ -247,12 +250,13 @@ def assert_pairs_match_reference(ext):
 
 
 def test_pairs_by_f_sorted_and_stable(msa_e):
-    _, _, ext = build_pipeline(msa_e)
+    ext = run_pipeline(msa_e).ext
     xs, fs = ext.pairs_by_f()
     assert fs.tolist() == sorted(ext.f.tolist())
     assert xs.tolist() == [0, 1, 3, 2]  # f values 1,3,4,5
     # stability: equal f keeps x ascending
-    ties = X.ExtensionTable(f=np.array([4, 2, 2, 4, 2], np.int64), n=5, op_count=0)
+    ties = X.ExtensionTable(f=np.array([4, 2, 2, 4, 2], np.int64), op_count=0)
+    assert ties.n == 5
     assert ties.pairs_by_f()[0].tolist() == [1, 2, 4, 0, 3]
     assert_pairs_match_reference(ties)
 
@@ -264,12 +268,12 @@ def test_pairs_by_f_matches_reference():
             seed=seed + 5000, m=rng.randint(1, 8), n=rng.randint(1, 60),
             sigma=rng.choice([1, 2, 4]), gap_prob=rng.choice([0.0, 0.2, 0.5]),
         )
-        assert_pairs_match_reference(build_pipeline(O.generate_msa(spec))[2])
+        assert_pairs_match_reference(run_pipeline(O.generate_msa(spec)).ext)
     for seed in range(20):
         msa = near_identical_msa(seed + 5100, 8, 200, snp_rate=0.02, gap_rate=0.05)
-        assert_pairs_match_reference(build_pipeline(msa)[2])
-    assert_pairs_match_reference(build_pipeline(
-        near_identical_msa(5200, 16, 2000, snp_rate=0.005, gap_rate=0.01))[2])
+        assert_pairs_match_reference(run_pipeline(msa).ext)
+    assert_pairs_match_reference(run_pipeline(
+        near_identical_msa(5200, 16, 2000, snp_rate=0.005, gap_rate=0.01)).ext)
 
 
 def test_work_counter_linear():
@@ -278,7 +282,7 @@ def test_work_counter_linear():
         msa = O.generate_msa(
             O.RandomMsaSpec(seed=seed + 300, m=rng.randint(1, 8), n=rng.randint(1, 64))
         )
-        _, _, ext = build_pipeline(msa)
+        ext = run_pipeline(msa).ext
         assert ext.op_count <= 64 * msa.m * msa.n + 64
 
 
@@ -297,12 +301,12 @@ def test_same_shape_alignment_mismatch_rejected():
         E.compute_minimal_right_extensions(msa, E.GapIndex(other), E.build_gst(msa))
     with pytest.raises(MsaError):
         E.compute_minimal_right_extensions(msa, E.GapIndex(msa), E.build_gst(other))
-    _, _, ext = build_pipeline(msa)
+    ext = run_pipeline(msa).ext
     assert ext.f.tolist() == [1, 2, 4, 6, 5]
 
 
 def test_trailing_gap_rows_saturate():
     # once a row's suffix is all gaps no proper segment can start there
     msa = Msa.from_rows(["AC--", "ACGT"])
-    _, _, ext = build_pipeline(msa)
+    ext = run_pipeline(msa).ext
     assert ext.f[2] == 5 and ext.f[3] == 5

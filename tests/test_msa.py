@@ -17,10 +17,10 @@ from efgseg.msa import (
     MsaError,
     check_size_limits,
     parse_aligned_fasta,
-    spell,
     to_fasta,
 )
 from tests import loop_reference
+from tests.conftest import spell
 
 
 def test_parse_basic():

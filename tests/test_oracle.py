@@ -4,7 +4,7 @@ import efgseg as E
 from efgseg import oracle as O
 from efgseg.dp import Segmentation
 from efgseg.msa import Msa
-from tests.conftest import SuffixTree
+from tests.conftest import SuffixTree, oracle_exclusive_ancestors
 
 
 def test_segment_examples(msa_e, msa_aaa):
@@ -42,15 +42,15 @@ def test_optimal_score_examples(msa_e, msa_aaa):
 
 def test_exclusive_ancestors_examples(msa_e):
     tree = SuffixTree(E.build_gst(msa_e))
-    assert O.oracle_exclusive_ancestors(tree, range(tree.n_leaves)) == {tree.root}
+    assert oracle_exclusive_ancestors(tree, range(tree.n_leaves)) == {tree.root}
     leaf = tree.leaf_for(1, 2)
-    assert O.oracle_exclusive_ancestors(tree, [leaf]) == {leaf}
+    assert oracle_exclusive_ancestors(tree, [leaf]) == {leaf}
     # the "C" and "GC" leaves have terminator twins outside the query, so
     # they are their own exclusive ancestors
     c1, gc2 = tree.leaf_for(1, 3), tree.leaf_for(2, 2)
-    assert O.oracle_exclusive_ancestors(tree, [c1, gc2]) == {c1, gc2}
+    assert oracle_exclusive_ancestors(tree, [c1, gc2]) == {c1, gc2}
     # both full-depth twins collapse to the internal "AGC" node
-    got = O.oracle_exclusive_ancestors(tree, [tree.leaf_for(1, 1), tree.leaf_for(2, 1)])
+    got = oracle_exclusive_ancestors(tree, [tree.leaf_for(1, 1), tree.leaf_for(2, 1)])
     assert len(got) == 1
     assert tree.path_label(got.pop()) == "AGC"
 
