@@ -129,7 +129,7 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
         if bad:
             continue  # a row may spell nothing in a bad block, so no graph is built
         efg = build_efg(msa, seg)
-        total = sum(len(nd.label) for block in efg.blocks for nd in block)
+        total = sum(sum(map(len, labels)) for labels in efg.labels)
         if not oracle.oracle_efg_semi_repeat_free(efg, total):
             issues.append(f"{scheme}: induced graph fails the graph-level check")
     return issues

@@ -46,8 +46,8 @@ class Efg:
     ``ranks[k - 1, i - 1]``. Counting the nodes of earlier blocks first,
     that node is node number ``sum(widths[:k - 1]) + r`` of the graph: the
     exporters render one string per node and index it with these numbers.
-    ``blocks`` (one ``EfgNode`` per node) is built on first access; no
-    export asks for it.
+    ``blocks`` (one ``EfgNode`` per node) is built on first access; the
+    benchmark in ``perfbench`` is its last program reader.
     """
 
     labels: list[list[str]]  # per block, its distinct labels in sorted order

@@ -167,21 +167,20 @@ def oracle_efg_semi_repeat_free(efg, max_path_len: int) -> bool:
     occurrence that starts inside it (no label can span more than the first
     node plus two maximal labels), and never beyond max_path_len.
     """
-    nodes = [nd for block in efg.blocks for nd in block]
-    label = {nd.id: nd.label for nd in nodes}
-    block_of = {nd.id: nd.block for nd in nodes}
-    adj: dict[str, list[str]] = {nd.id: [] for nd in nodes}
+    label = {v: t for ids, labels in zip(efg.ids, efg.labels) for v, t in zip(ids, labels)}
+    block_of = {v: k for k, ids in enumerate(efg.ids, start=1) for v in ids}
+    adj: dict[str, list[str]] = {v: [] for v in label}
     for a, b in efg.edges:
         adj[a].append(b)
-    max_lab = max(len(nd.label) for nd in nodes)
+    max_lab = max(map(len, label.values()))
 
     def path_ok(start: str, lab: str) -> bool:
         first_len = len(label[start])
-        for nd in nodes:
-            for p in _occurrences(lab, nd.label):
+        for v, t in label.items():
+            for p in _occurrences(lab, t):
                 if p >= first_len:
                     continue  # starts in a later node: checked from that start
-                if p != 0 or block_of[start] != nd.block:
+                if p != 0 or block_of[start] != block_of[v]:
                     return False
         return True
 

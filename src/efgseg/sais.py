@@ -26,12 +26,12 @@ After each round's grouping, two suffixes have equal ranks iff their
 k-prefixes are equal: a tied suffix holds its group's head and a suffix
 alone in its group holds its own final slot + 1. So the ranks of a round
 that leaves ties are the LCP lifting level for its length k = 2h, 4h, ...;
-``enhanced_suffix_array`` keeps a copy of each, and the packed prefixes are
-the level for k = h. Lifting a pair of suffixes walks the levels from the
-top down, which finds the longest common prefix whose length is a multiple
-of h, then reads the last fewer-than-h common symbols off the pair's packed
-prefixes. The packed prefixes are freed after the first sort and packed
-again for the lift, so they do not stay alive through the rounds.
+the doubling keeps a copy of each, and the packed prefixes are the level
+for k = h. Lifting a pair of suffixes walks the levels from the top down,
+which finds the longest common prefix whose length is a multiple of h, then
+reads the last fewer-than-h common symbols off the pair's packed prefixes.
+The packed prefixes are freed after the first sort and packed again for the
+lift, so they do not stay alive through the rounds.
 
 Only the irreducible pairs are lifted. Slot r is irreducible when the
 suffixes at slots r-1 and r are preceded by different symbols (the
@@ -50,9 +50,9 @@ pair is one compare of packed prefixes.
 The inverse comes free: at the end every suffix is alone in its group, so
 isa = rank - 1.
 
-``suffix_array`` is the same doubling without the levels. ``lcp_array(data,
-sa)`` runs the whole doubling again and raises ValueError when ``sa`` is not
-its suffix array.
+``suffix_array`` is the first array of ``enhanced_suffix_array``.
+``lcp_array(data, sa)`` runs the whole construction again and raises
+ValueError when ``sa`` is not its suffix array.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ RANK_LIMIT = 1 << 31
 
 # Elements gathered at once; bounds the temporaries of the LCP lift.
 _CHUNK = 1 << 14
-
-
-def _check_length(n: int):
-    if n >= RANK_LIMIT:
-        raise ValueError(f"text of length {n} does not fit int32 ranks (limit {RANK_LIMIT - 1})")
 
 
 def _packed_prefixes(data: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -91,19 +86,21 @@ def _codes(data, alphabet_size: int) -> np.ndarray:
     data = np.ascontiguousarray(data)
     if data.dtype.kind not in "iu":
         data = data.astype(np.int64)
-    _check_length(len(data))
-    if len(data) and (data.min() < 1 or data.max() >= min(alphabet_size, RANK_LIMIT)):
+    n = len(data)
+    if n >= RANK_LIMIT:
+        raise ValueError(f"text of length {n} does not fit int32 ranks (limit {RANK_LIMIT - 1})")
+    if n and (data.min() < 1 or data.max() >= min(alphabet_size, RANK_LIMIT)):
         raise ValueError(f"symbol codes must lie in [1..{alphabet_size - 1}]")
     return data
 
 
-def _doubling(data: np.ndarray, levels: list | None) -> tuple[np.ndarray, np.ndarray]:
+def _doubling(data: np.ndarray, levels: list) -> tuple[np.ndarray, np.ndarray]:
     """(sa, rank) of a non-empty text, with rank[p] = 1 + the slot of suffix
     p in sa and rank[n] = 0 for the empty suffix.
 
-    With ``levels`` a list, appends a copy of the ranks after each round
-    that leaves ties, from the second round on: equal ranks in the j-th copy
-    (j = 1, 2, ...) mean equal first h * 2^j symbols.
+    Appends to ``levels`` a copy of the ranks after each round that leaves
+    ties, from the second round on: equal ranks in the j-th copy (j = 1, 2,
+    ...) mean equal first h * 2^j symbols.
     """
     n = len(data)
     packed, h, _ = _packed_prefixes(data)
@@ -139,7 +136,7 @@ def _doubling(data: np.ndarray, levels: list | None) -> tuple[np.ndarray, np.nda
         pos = pos[tied]
         key = head[tied].astype(np.int64)
         del first, head, tied
-        if levels is not None and k > h:
+        if k > h:
             levels.append(rank.copy())
         # ties break on the rank of the k symbols that follow; a tied suffix
         # has at least k more symbols, so pos + k <= n
@@ -250,10 +247,7 @@ def enhanced_suffix_array(
 
 def suffix_array(data: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Suffix array of data (values in [1..alphabet_size-1]), length len(data)."""
-    data = _codes(data, alphabet_size)
-    if len(data) == 0:
-        return np.empty(0, np.int32)
-    return _doubling(data, None)[0]
+    return enhanced_suffix_array(data, alphabet_size)[0]
 
 
 def lcp_array(data: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

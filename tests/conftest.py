@@ -106,6 +106,7 @@ class SuffixTree:
     ``rml`` arrays, and ``leaf_nodes`` the leaf node ids. Leaf origins are
     (row, offset) with offset the 1-based position in the gaps-removed row
     plus terminator; leaf suffix links reduce to ``leaf_for(i, p + 1)``.
+    ``row_lens[i - 1]`` is the length of row i's string plus terminator.
     """
 
     def __init__(self, gst):
@@ -114,11 +115,12 @@ class SuffixTree:
         self.n_leaves = len(gst.sa)
         # codes of Gst.text: terminators 1..m, then the sorted alphabet
         self.sym_code = {c: m + 1 + idx for idx, c in enumerate(sorted(gst.msa.alphabet))}
-        self.leaf_row = np.repeat(np.arange(m, dtype=np.int32), gst.row_alpha_lens)[gst.sa]
+        self.row_lens = np.diff(gst.row_starts, append=len(gst.text))
+        self.leaf_row = np.repeat(np.arange(m, dtype=np.int32), self.row_lens)[gst.sa]
         self.leaf_off = gst.sa - gst.row_starts[self.leaf_row] + 1
         parent, depth, lml, rml, root = _lcp_interval_tree(gst.lcp, self.n_leaves)
         # leaf string depths: suffix length truncated at the row terminator
-        depth[: self.n_leaves] = gst.row_alpha_lens[self.leaf_row] - self.leaf_off + 1
+        depth[: self.n_leaves] = self.row_lens[self.leaf_row] - self.leaf_off + 1
         self.parent, self.string_depth, self.lml, self.rml, self.root = parent, depth, lml, rml, root
         self.n_nodes = len(parent)
         self.leaf_nodes = np.arange(self.n_leaves, dtype=np.int64)
@@ -137,10 +139,8 @@ class SuffixTree:
         gst = self.gst
         if not 1 <= i <= gst.msa.m:
             raise MsaError(f"row index {i} out of range [1..{gst.msa.m}]")
-        if not 1 <= p <= gst.row_alpha_lens[i - 1]:
-            raise MsaError(
-                f"offset {p} out of range [1..{gst.row_alpha_lens[i - 1]}] for row {i}"
-            )
+        if not 1 <= p <= self.row_lens[i - 1]:
+            raise MsaError(f"offset {p} out of range [1..{self.row_lens[i - 1]}] for row {i}")
         return int(gst.isa[gst.row_starts[i - 1] + p - 1])
 
     def leaf_origin(self, leaf: int) -> tuple[int, int]:

@@ -226,8 +226,9 @@ def test_c7_linear_scaling():
             pairs_sets.append((ext, pairs))
         inputs[n] = pairs_sets
 
-    # interleave the 5 runs across sizes so machine drift between runs hits
-    # every size alike and cancels out of the doubling ratios
+    # each of the 5 rounds times every size back to back, and a doubling's
+    # ratio is the median over rounds of its per-round ratio: a host
+    # slowdown that lasts longer than one pair of sizes cancels out of it
     pre_samples = {n: [] for n in sizes}
     dp_samples = {n: [] for n in sizes}
     for _ in range(5):
@@ -246,6 +247,10 @@ def test_c7_linear_scaling():
             dp_samples[n].append((time.perf_counter() - t0) / reps)
     pre_times = {n: statistics.median(v) for n, v in pre_samples.items()}
     dp_times = {n: statistics.median(v) for n, v in dp_samples.items()}
+
+    def ratio(samples, a, b):
+        return statistics.median(tb / ta for ta, tb in zip(samples[a], samples[b]))
+
     # every sample, in run order, so a failing ratio shows whether one run or
     # the whole size moved
     samples = "; ".join(
@@ -254,8 +259,8 @@ def test_c7_linear_scaling():
         for n in sizes
     )
     for a, b in zip(sizes, sizes[1:]):
-        pre_ratio = pre_times[b] / pre_times[a]
-        dp_ratio = dp_times[b] / dp_times[a]
+        pre_ratio = ratio(pre_samples, a, b)
+        dp_ratio = ratio(dp_samples, a, b)
         assert pre_ratio <= 2.5, f"preprocessing {a}->{b}: x{pre_ratio:.2f} ({samples})"
         assert dp_ratio <= 2.5, f"dp {a}->{b}: x{dp_ratio:.2f} ({samples})"
     summary = ", ".join(

@@ -113,7 +113,7 @@ def test_leaf_suffix_link_property():
         msa = O.generate_msa(O.RandomMsaSpec(seed=seed + 200, m=3, n=12))
         tree = SuffixTree(E.build_gst(msa))
         for i in range(1, msa.m + 1):
-            alen = int(tree.gst.row_alpha_lens[i - 1])
+            alen = int(tree.row_lens[i - 1])
             for p in range(1, alen):
                 cur = suffix_codes(tree, tree.leaf_for(i, p))
                 nxt = suffix_codes(tree, tree.leaf_for(i, p + 1))

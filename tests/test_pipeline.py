@@ -1,9 +1,13 @@
+import tracemalloc
+
 import pytest
 
 import efgseg as E
+from efgseg import gst as G
 from efgseg import pipeline as P
 from efgseg.dp import MAXBLOCKS, MINMAXLEN, UnsegmentableError
 from efgseg.msa import Msa
+from tests.conftest import near_identical_msa
 
 
 def test_stages_by_hand_agree(msa_e):
@@ -45,3 +49,25 @@ def test_suffix_array_first_and_nothing_kept(msa_e, monkeypatch):
     run = P.run_pipeline(msa_e, MAXBLOCKS)
     assert built == ["gst", "gi"]
     assert set(vars(run)) == {"ext", "table"}
+
+
+@pytest.mark.parametrize("shape", [(3, 32, 4000, 0.002, 0.001), (3, 16, 4000, 0.5, 0.2)])
+def test_only_text_and_layout_mask_alive_at_suffix_array(shape, monkeypatch):
+    # nothing of the text's size but the text itself is alive through the
+    # suffix array's peak: only the (m, n + 1) bool layout mask joins it
+    msa = near_identical_msa(*shape)
+    seen, build = [], G.enhanced_suffix_array
+
+    def traced(text, alphabet_size):
+        seen.append((tracemalloc.get_traced_memory()[0], text.nbytes))
+        return build(text, alphabet_size)
+
+    monkeypatch.setattr(G, "enhanced_suffix_array", traced)
+    tracemalloc.start()
+    try:
+        P.run_pipeline(msa)
+    finally:
+        tracemalloc.stop()
+    [(live, text_bytes)] = seen
+    besides = live - text_bytes
+    assert besides <= msa.m * (msa.n + 1) + 16 * 1024, f"{besides} B alive besides the text"
