@@ -57,13 +57,6 @@ class Efg:
     edges: list[tuple[str, str]]
     intervals: list[tuple[int, int]]  # column interval per block
 
-    def __eq__(self, other):
-        if not isinstance(other, Efg):
-            return NotImplemented
-        return (self.labels, self.ids, self.names, self.edges, self.intervals) == (
-            other.labels, other.ids, other.names, other.edges, other.intervals
-        ) and np.array_equal(self.ranks, other.ranks)
-
     @property
     def b(self) -> int:
         return len(self.labels)
@@ -121,12 +114,12 @@ def _take(values: list, index: np.ndarray) -> list:
 def build_efg(msa: Msa, seg: Segmentation) -> Efg:
     """Founder graph induced by the segmentation (must spell every row).
 
-    Only the (row, block) pairs whose gapped slice differs from row 1's are
-    spelled: equal gapped slices spell equal labels, so every other row of a
-    block takes row 1's rank. Edges are the distinct (block, tail rank,
-    head rank) codes of consecutive columns, found with one sort; see
-    ``_edges``. An empty label raises ``EfgError`` naming row 1 if row 1
-    spells it, else the first row that does.
+    In each block, row 1 and the rows whose gapped slice differs from row
+    1's are listed and spelled: equal gapped slices spell equal labels, so
+    every unlisted row takes row 1's rank, the first listed rank of its
+    block. Edges are the distinct (block, tail rank, head rank) codes of
+    consecutive columns, found with one sort; see ``_edges``. An empty label
+    raises ``EfgError`` naming the first row that spells it.
     """
     if not seg.blocks or seg.blocks[0][0] != 1 or seg.blocks[-1][1] != msa.n:
         raise EfgError(f"segmentation does not cover [1..{msa.n}]")
@@ -141,26 +134,26 @@ def build_efg(msa: Msa, seg: Segmentation) -> Efg:
     # Reduced over the column axis of the transposed view: each block's
     # columns are then long runs of m flags, not m runs of its width.
     differs = np.logical_or.reduceat((cells != cells[0]).T, starts, axis=0)
+    differs[:, 0] = True  # row 1 is listed first in every block
     listed_blocks, listed_rows = np.nonzero(differs)  # by block, rows ascending
     ends = np.cumsum(differs.sum(axis=1)).tolist()
     listed = listed_rows.tolist()
-    labels, ref_ranks, listed_ranks = [], [], []
+    labels, listed_ranks = [], []
     lo = 0
     for (x, y), hi in zip(seg.blocks, ends):
-        ref = rows[0][x - 1 : y].replace(GAP, "")
         block_rows = listed[lo:hi]
         spelled = [rows[i][x - 1 : y].replace(GAP, "") for i in block_rows]
-        distinct = sorted({ref, *spelled})
+        distinct = sorted(set(spelled))
         if not distinct[0]:  # "" sorts first
-            row = 1 if not ref else block_rows[spelled.index("")] + 1
+            row = block_rows[spelled.index("")] + 1
             raise EfgError(f"row {row} spells the empty string in segment [{x}..{y}]")
         rank = {t: r for r, t in enumerate(distinct)}
         labels.append(distinct)
-        ref_ranks.append(rank[ref])
         listed_ranks.extend(map(rank.__getitem__, spelled))
         lo = hi
+    listed_ranks = np.array(listed_ranks, np.int64)
     ranks = np.empty((b, m), np.int64)
-    ranks[:] = np.array(ref_ranks, np.int64)[:, None]
+    ranks[:] = listed_ranks[[0, *ends[:-1]], None]  # row 1's rank
     ranks[listed_blocks, listed_rows] = listed_ranks
     widths = list(map(len, labels))
     rank_texts = list(map(str, range(max(widths))))

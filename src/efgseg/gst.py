@@ -20,7 +20,9 @@ class Gst:
     """Enhanced suffix array of the gaps-removed rows.
 
     ``text`` codes 0 as unused, the terminator of row i as i (1..m) and the
-    k-th symbol of the sorted alphabet as m + 1 + k. Row i's string plus
+    k-th (0-based) byte value other than GAP that occurs in ``msa.cells`` as
+    m + 1 + k: a boolean scatter of the cells and its cumulative sum make
+    the code table, so symbols sort in byte order. Row i's string plus
     terminator starts at ``text[row_starts[i - 1]]``. ``columns`` maps each
     text position to its 1-based alignment column, and each terminator to
     n + 1. ``sa``, ``isa`` and ``lcp`` are the suffix array, its inverse and
@@ -36,10 +38,10 @@ class Gst:
         np.not_equal(msa.cells, ord(GAP), out=keep[:, :n])
         row_lens = np.count_nonzero(keep, axis=1)
         check_size_limits(n, int(row_lens.sum()))
-        sigma = sorted(msa.alphabet)
-        code_of = np.zeros(256, np.int32)
-        for idx, c in enumerate(sigma):
-            code_of[ord(c)] = m + 1 + idx
+        used = np.zeros(128, np.bool_)
+        used[msa.cells] = True
+        used[ord(GAP)] = False
+        code_of = np.cumsum(used, dtype=np.int32) + m
 
         codes = np.empty((m, n + 1), np.int32)
         codes[:, :n] = code_of[msa.cells]
@@ -47,7 +49,7 @@ class Gst:
         text = codes[keep]
         del codes
 
-        sa, lcp, isa = enhanced_suffix_array(text, m + 1 + len(sigma))
+        sa, lcp, isa = enhanced_suffix_array(text, int(code_of[-1]) + 1)
 
         # an int32 mask gather, not np.nonzero, which makes two int64 arrays
         columns = np.broadcast_to(np.arange(1, n + 2, dtype=np.int32), (m, n + 1))[keep]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from typing import NoReturn
 
@@ -58,9 +57,9 @@ class Msa:
 
     Rows hold GAP and printable ASCII symbols other than '>' and '.'.
     ``cells`` is the read-only ``(m, n)`` uint8 matrix of the row bytes,
-    which the gap index, the suffix array and the graph build read. The rows
-    are checked as one text; only a failed check walks them row by row, to
-    name the first bad one. ``alphabet`` is computed on first use.
+    which the gap index, ``Gst`` (its layout and symbol codes) and the graph
+    build read. The rows are checked as one text; only a failed check walks
+    them row by row, to name the first bad one.
     """
 
     rows: tuple[str, ...]
@@ -102,14 +101,6 @@ class Msa:
             if row.count(GAP) == n:
                 raise MsaError(f"row '{name}' consists only of gap symbols")
         raise AssertionError("a whole-text check failed on rows that pass one by one")
-
-    @cached_property
-    def alphabet(self) -> frozenset[str]:
-        """The symbols other than GAP that occur in the rows."""
-        # a boolean scatter, not np.bincount, which copies the bytes to intp first
-        seen = np.zeros(128, np.bool_)
-        seen[self.cells] = True
-        return frozenset(map(chr, np.flatnonzero(seen).tolist())) - {GAP}
 
     @classmethod
     def from_rows(cls, rows, names=None) -> "Msa":

@@ -106,10 +106,6 @@ class SegmentChecker:
         return ok
 
 
-def oracle_is_semi_repeat_free_segment(msa: Msa, x: int, y: int) -> bool:
-    return SegmentChecker(msa).is_valid(x, y)
-
-
 def oracle_minimal_right_extension(msa: Msa, x: int, checker: SegmentChecker | None = None) -> int:
     """Smallest y in [x+1..n] making [x+1..y] semi-repeat-free, else n+1."""
     if not 0 <= x <= msa.n - 1:

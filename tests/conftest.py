@@ -113,8 +113,9 @@ class SuffixTree:
         self.gst = gst
         m = gst.msa.m
         self.n_leaves = len(gst.sa)
-        # codes of Gst.text: terminators 1..m, then the sorted alphabet
-        self.sym_code = {c: m + 1 + idx for idx, c in enumerate(sorted(gst.msa.alphabet))}
+        # codes of Gst.text: terminators 1..m, then the sorted symbols
+        symbols = sorted(set("".join(gst.msa.rows)) - {GAP})
+        self.sym_code = {c: m + 1 + idx for idx, c in enumerate(symbols)}
         self.row_lens = np.diff(gst.row_starts, append=len(gst.text))
         self.leaf_row = np.repeat(np.arange(m, dtype=np.int32), self.row_lens)[gst.sa]
         self.leaf_off = gst.sa - gst.row_starts[self.leaf_row] + 1

@@ -228,23 +228,33 @@ def test_c7_linear_scaling():
 
     # each of the 5 rounds times every size back to back, and a doubling's
     # ratio is the median over rounds of its per-round ratio: a host
-    # slowdown that lasts longer than one pair of sizes cancels out of it
+    # slowdown that lasts longer than one pair of sizes cancels out of it.
+    # Inside a round, a size's sample is the fastest of 3 back-to-back
+    # preprocessing passes, and the fastest per-rep time of 3 equal slices
+    # of its DP reps: a slowdown shorter than that only lengthens the others
     pre_samples = {n: [] for n in sizes}
     dp_samples = {n: [] for n in sizes}
     for _ in range(5):
         for n in sizes:
-            t0 = time.perf_counter()
-            for msa in datasets[n]:
-                run_pipeline(msa)
-            pre_samples[n].append((time.perf_counter() - t0) / variants)
+            passes = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                for msa in datasets[n]:
+                    run_pipeline(msa)
+                passes.append((time.perf_counter() - t0) / variants)
+            pre_samples[n].append(min(passes))
 
             reps = max(64, 2_400_000 // n)
-            t0 = time.perf_counter()
-            for r in range(reps):
-                ext, pairs = inputs[n][r % variants]
-                score_max_blocks(ext)
-                score_min_max_length(pairs, n)
-            dp_samples[n].append((time.perf_counter() - t0) / reps)
+            per_slice = reps // 3
+            slices = []
+            for part in range(3):
+                t0 = time.perf_counter()
+                for r in range(part * per_slice, (part + 1) * per_slice):
+                    ext, pairs = inputs[n][r % variants]
+                    score_max_blocks(ext)
+                    score_min_max_length(pairs, n)
+                slices.append((time.perf_counter() - t0) / per_slice)
+            dp_samples[n].append(min(slices))
     pre_times = {n: statistics.median(v) for n, v in pre_samples.items()}
     dp_times = {n: statistics.median(v) for n, v in dp_samples.items()}
 

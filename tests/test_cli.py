@@ -568,3 +568,81 @@ def test_cli_never_prints_a_traceback(tmp_path_factory, data):
     assert "Traceback" not in err, (argv, err)
     if kind == "gen":
         assert code == 1, (argv, err)
+
+
+# -- ... for any argv of the subcommand grammar -----------------------------------
+
+# (valid, invalid) values as they reach argparse. "{fasta}" is a small
+# alignment file, "-" reads junk from stdin, "{missing}" names no file and
+# "{dir}" a directory. The huge ints are past the pipeline's int32 limits (or
+# past Python's int-to-string limit), so no accepted gen exceeds 64 x 64 cells.
+_HUGE = [str(1 << 31), str(10**30), "9" * 5000]
+_INPUT = (["{fasta}"], ["-", "{missing}", "{dir}"])
+_SIZE = (["1", "2", "7", "64"], ["0", "-1", "x", "1.5", "", *_HUGE])
+_OUTPUT = (["-", "{dir}/out"], ["{dir}", "{missing}/out"])
+_SCORE = (["maxblocks", "minmaxlen"], ["bogus", ""])
+
+# per subcommand: flag spellings -> values (None: a flag without a value)
+_GRAMMAR = {
+    "gen": {
+        ("--seed",): (["0", "7", "-5", str(10**30)], ["x", "1.5", "9" * 5000]),
+        ("--rows",): _SIZE,
+        ("--cols",): _SIZE,
+        ("--sigma",): (["1", "4", "24"], ["0", "25", "-3", "x", *_HUGE]),
+        ("--gap-prob",): (["0", "0.2", "0.5"], ["1", "-0.1", "nan", "inf", "1e400", "x"]),
+        ("-o", "--output"): _OUTPUT,
+    },
+    "extensions": {("-o", "--output"): _OUTPUT},
+    "segment": {("--score",): _SCORE, ("--emit-graph",): None, ("-o", "--output"): _OUTPUT},
+    "export": {
+        ("--segmentation",): (["{seg}"], ["{missing}", "{dir}"]),
+        ("--score",): _SCORE,
+        ("--format",): (["gfa", "dot", "json"], ["svg", ""]),
+        ("-o", "--output"): _OUTPUT,
+    },
+    "validate": {("-o", "--output"): _OUTPUT},
+    "stats": {("--score",): _SCORE, ("-o", "--output"): _OUTPUT},
+    "bogus": {},
+}
+_GOOD_SEGMENTATION = json.dumps({"blocks": [{"start": 1, "end": 1}, {"start": 2, "end": 3},
+                                            {"start": 4, "end": 4}], "score": 2})
+
+
+@st.composite
+def fuzz_argv(draw):
+    """argv of any subcommand: each flag present or not (required ones too),
+    spelt either way, with a valid or an invalid value, in any order, with
+    an input or not, and maybe an extra positional or an unknown flag.
+    Mostly present and valid, so that many argvs run a command."""
+    mostly = st.sampled_from([True] * 7 + [False])
+
+    def value(pair):
+        return draw(st.sampled_from(pair[0] if draw(mostly) else pair[1]))
+
+    command = draw(st.sampled_from(list(_GRAMMAR)))
+    groups = []
+    for spellings, values in _GRAMMAR[command].items():
+        if draw(mostly):
+            flag = [draw(st.sampled_from(spellings))]
+            groups.append(flag if values is None else [*flag, value(values)])
+    if command != "gen" and draw(mostly):
+        groups.append([value(_INPUT)])
+    groups.append(draw(st.sampled_from([[]] * 5 + [["extra.fa"], ["--bogus"], ["-o"]])))
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=st.data())
+def test_cli_argv_grammar_never_prints_a_traceback(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("argv")
+    fasta, seg = tmp / "in.fa", tmp / "seg.json"
+    fasta.write_text(data.draw(st.sampled_from([E_FASTA, E_FASTA, AAA_FASTA, UNSEG_FASTA])))
+    good = data.draw(st.sampled_from([True, True, False]))
+    seg.write_text(_GOOD_SEGMENTATION if good else data.draw(fuzz_segmentation()))
+    places = {"fasta": fasta, "seg": seg, "missing": tmp / "missing", "dir": tmp}
+    argv = [token.format(**places) for token in data.draw(fuzz_argv())]
+    stdin = io.TextIOWrapper(io.BytesIO(data.draw(fuzz_fasta())), encoding="utf-8")
+    with mock.patch.object(cli.sys, "stdin", stdin):
+        code, err = _main_in_process(argv)
+    assert code in {0, 1, 2, 3}, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)

@@ -583,14 +583,9 @@ def test_writers_match_loop_reference_on_small_graphs(labels, ranks, names):
     ]
 
 
-def test_efg_equality_compares_the_rank_matrix(msa_e):
-    seg = seg_of([(1, 1), (2, 3), (4, 4)])
-    efg = build_efg(msa_e, seg)
-    assert efg == build_efg(msa_e, seg) and "blocks" not in vars(efg)
-    other = build_efg(msa_e, seg)
-    other.ranks = other.ranks.copy()
-    other.ranks[1, 0] = 1 - other.ranks[1, 0]
-    assert efg != other
+def test_build_efg_leaves_blocks_unbuilt(msa_e):
+    efg = build_efg(msa_e, seg_of([(1, 1), (2, 3), (4, 4)]))
+    assert "blocks" not in vars(efg)
 
 
 @pytest.mark.parametrize("header", ["*r1", "=r2 x", "a\x01b", "\x7f"])

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import efgseg as E
 from efgseg import oracle as O
-from efgseg.msa import Msa, MsaError
+from efgseg.msa import _VALID, GAP, Msa, MsaError
 from tests.conftest import SuffixTree, near_identical_msa
 
 
@@ -159,3 +161,34 @@ def test_lcp_never_crosses_a_terminator():
         sa, lcp = gst.sa.tolist(), gst.lcp.tolist()
         for r in range(1, len(sa)):
             assert lcp[r] <= min(left[sa[r - 1]], left[sa[r]]), (msa.rows, r)
+
+
+@st.composite
+def symbol_msas(draw):
+    """Rows over every byte a row may hold, each with a non-gap: digits,
+    punctuation and GAP, and lower case, which Msa.from_rows would fold."""
+    n = draw(st.integers(1, 8))
+    row = st.text(st.sampled_from(_VALID.decode("ascii")), min_size=n, max_size=n)
+    rows = draw(st.lists(row.filter(lambda r: r.count(GAP) < n), min_size=1, max_size=5))
+    return Msa(rows=tuple(rows), names=tuple(f"r{i}" for i in range(1, len(rows) + 1)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(symbol_msas())
+def test_layout_codes_symbols_in_sorted_order(msa):
+    m, n = msa.m, msa.n
+    symbols = sorted(set("".join(msa.rows)) - {GAP})
+    code = {c: m + 1 + k for k, c in enumerate(symbols)}
+    text, columns, row_starts = [], [], []
+    for i, row in enumerate(msa.rows, start=1):
+        row_starts.append(len(text))
+        for x, c in enumerate(row, start=1):
+            if c != GAP:
+                text.append(code[c])
+                columns.append(x)
+        text.append(i)  # terminator of row i, in the virtual column n + 1
+        columns.append(n + 1)
+    gst = E.build_gst(msa)
+    assert gst.text.tolist() == text
+    assert gst.columns.tolist() == columns
+    assert gst.row_starts.tolist() == row_starts
