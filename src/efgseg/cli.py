@@ -113,7 +113,7 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
             break
     for scheme in (MAXBLOCKS, MINMAXLEN):
         table = score(ext, scheme)
-        want = oracle.oracle_optimal_score(msa, scheme)
+        want = oracle.oracle_optimal_score(msa, scheme, checker)
         if table.score() != want:
             issues.append(f"{scheme}: computed score {table.score()}, oracle {want}")
             continue

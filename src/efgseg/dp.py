@@ -2,12 +2,13 @@
 
 Both schemes consume the (x, f(x)) pairs sorted by f. Scheme "maxblocks"
 keeps a running maximum of s(x)+1 over the usable prefixes. Scheme
-"minmaxlen" tracks the two recursion flavours separately: a count array C
-over scores of segmentations whose last segment is still no longer than the
-previous optimum (non-leader), and a single best value S for segmentations
-whose last segment dominates (leader). When a non-leader segment outgrows
-its score it migrates to the leader side via an expiry bucket, which is why
-the running minimum I over C only ever needs to be nudged up by one.
+"minmaxlen" (Equi et al., ISAAC 2021) splits the usable x at column j in
+two. A non-leader's last segment [x+1..j] is no longer than s(x), so it
+scores s(x); a count array C over those scores gives their minimum I. A
+leader's last segment is longer, so it scores j - x, and the best leader is
+the largest one at every column: the index ``lead`` is all that side keeps.
+When a non-leader's segment outgrows its score it becomes a leader via an
+expiry bucket, which is why I only ever needs to be nudged up by one.
 """
 
 from __future__ import annotations
@@ -61,19 +62,19 @@ def _min_max_len_kernel(xs, fs, n):
     s[0] = 0
     pred = [-1] * (n + 1)
     C = [0] * (n + 2)
-    # expiry buckets as linked lists threaded through the x values, with the
-    # score stored alongside; maxx[v] = largest consumed non-leader x of
-    # score v, which is always a live witness while C[v] > 0
+    # expiry buckets as linked lists threaded through the x values; maxx[v] =
+    # largest consumed non-leader x of score v, which is always a live
+    # witness while C[v] > 0
     bucket_head = [-1] * (n + 2)
     bucket_next = [-1] * (n + 1)
-    bucket_score = [-1] * (n + 1)
     maxx = [-1] * (n + 2)
     ptr = 0
     moves = 0
     n_pairs = len(fs)
     I = 1
-    S = INF
-    s_wit = -1
+    # the largest leader x, -1 for none; then j - lead = j + 1 exceeds I,
+    # which never exceeds j
+    lead = -1
     for j in range(1, n + 1):
         while ptr < n_pairs and fs[ptr] <= j:
             x = xs[ptr]
@@ -90,33 +91,25 @@ def _min_max_len_kernel(xs, fs, n):
                     maxx[sx] = x
                 e = x + sx + 1
                 if e <= n:
-                    bucket_score[x] = sx
                     bucket_next[x] = bucket_head[e]
                     bucket_head[e] = x
-            else:
-                if j - x < S:
-                    S = j - x
-                    s_wit = x
+            elif x > lead:
+                lead = x
         b = bucket_head[j]
         while b != -1:
-            # [b+1..j] just became longer than s(b): move to the leader side
-            C[bucket_score[b]] -= 1
-            if j - b < S:
-                S = j - b
-                s_wit = b
+            # [b+1..j] just became longer than s(b), final since column b:
+            # b moves to the leader side
+            C[s[b]] -= 1
+            if b > lead:
+                lead = b
             b = bucket_next[b]
             moves += 1
-        if C[I] > 0:
-            if I <= S:
-                s[j] = I
-                pred[j] = maxx[I]
-            else:
-                s[j] = S
-                pred[j] = s_wit
-        elif S < INF:
-            s[j] = S
-            pred[j] = s_wit
-        S += 1
+        if C[I] > 0 and I <= j - lead:
+            s[j] = I
+            pred[j] = maxx[I]
+        elif lead >= 0:
+            s[j] = j - lead
+            pred[j] = lead
         if C[I] == 0:
             I += 1
     return np.array(s, np.int32), np.array(pred, np.int32), ptr + moves + n

@@ -86,11 +86,6 @@ class Efg:
         counts = np.bincount(numbers, minlength=self.n_nodes)
         return rows, [0, *np.cumsum(counts).tolist()]
 
-    @property
-    def paths(self) -> list[tuple[str, list[str]]]:
-        """(row name, node ids) per row."""
-        return list(zip(self.names, self.row_steps([v for ids in self.ids for v in ids])))
-
     @cached_property
     def blocks(self) -> list[list[EfgNode]]:
         rows, bounds = self.node_rows()

@@ -117,9 +117,12 @@ def oracle_minimal_right_extension(msa: Msa, x: int, checker: SegmentChecker | N
     return msa.n + 1
 
 
-def oracle_optimal_score(msa: Msa, scheme: str) -> int | None:
+def oracle_optimal_score(msa: Msa, scheme: str,
+                         checker: SegmentChecker | None = None) -> int | None:
     """Quadratic segmentation DP; None when no valid segmentation exists."""
-    checker = SegmentChecker(msa)
+    if scheme not in (MAXBLOCKS, MINMAXLEN):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    checker = checker or SegmentChecker(msa)
     n = msa.n
     s: list[int | None] = [None] * (n + 1)
     s[0] = 0
@@ -132,12 +135,10 @@ def oracle_optimal_score(msa: Msa, scheme: str) -> int | None:
                 cand = s[x] + 1
                 if best is None or cand > best:
                     best = cand
-            elif scheme == MINMAXLEN:
+            else:
                 cand = max(s[x], j - x)
                 if best is None or cand < best:
                     best = cand
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
         s[j] = best
     return s[n]
 

@@ -81,11 +81,11 @@ def _packed_prefixes(data: np.ndarray) -> tuple[np.ndarray, int, int]:
 
 
 def _codes(data, alphabet_size: int) -> np.ndarray:
-    """data as a contiguous integer array, checked to hold codes in
+    """data as a contiguous array, checked to hold integer codes in
     [1..alphabet_size-1] and to fit int32 ranks."""
     data = np.ascontiguousarray(data)
     if data.dtype.kind not in "iu":
-        data = data.astype(np.int64)
+        raise ValueError(f"symbol codes must be integers, not {data.dtype}")
     n = len(data)
     if n >= RANK_LIMIT:
         raise ValueError(f"text of length {n} does not fit int32 ranks (limit {RANK_LIMIT - 1})")
@@ -138,13 +138,10 @@ def _doubling(data: np.ndarray, levels: list) -> tuple[np.ndarray, np.ndarray]:
         del first, head, tied
         if k > h:
             levels.append(rank.copy())
-        # ties break on the rank of the k symbols that follow; a tied suffix
-        # has at least k more symbols, so pos + k <= n
+        # ties break on the rank of the k symbols that follow; a suffix that
+        # ends within k symbols differs there from all others, so pos + k <= n
         key *= n + 1
-        after = np.minimum(pos, n - k)
-        after += k
-        key += rank[after]
-        del after
+        key += rank[pos + k]
         order = np.argsort(key, kind="stable")
         pos = pos[order]
         sa[slots] = pos
@@ -205,8 +202,6 @@ def _lift(
     it. With no level, each lifted pair is one compare of packed prefixes.
     """
     n = len(sa)
-    if n < 2:
-        return np.zeros(n, np.int32)
     bwt = data[sa - 1]
     irreducible = np.empty(n, np.bool_)
     np.not_equal(bwt[1:], bwt[:-1], out=irreducible[1:])

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +19,7 @@ from efgseg.extensions import ExtensionTable
 from efgseg.msa import DP_LIMIT, Msa, parse_aligned_fasta
 from efgseg.sais import RANK_LIMIT
 
+SRC = Path(cli.__file__).resolve().parents[1]
 E_FASTA = ">r1\nAG-C\n>r2\nA-GC\n"
 AAA_FASTA = ">r1\nAAA\n"
 UNSEG_FASTA = ">r1\nA-B-\n>r2\nAABB\n"
@@ -349,6 +354,91 @@ def test_validate_exit_code_on_mismatch(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "validate", path)
     assert code == 2
     assert "x=0" in err
+
+
+def test_cross_check_builds_one_segment_checker(monkeypatch):
+    built = []
+
+    class Counting(cli.oracle.SegmentChecker):
+        def __init__(self, msa):
+            built.append(msa)
+            super().__init__(msa)
+
+    monkeypatch.setattr(cli.oracle, "SegmentChecker", Counting)
+    assert cli.cross_check(parse_aligned_fasta(E_FASTA)) == []
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("name,value,report", [
+    ("oracle_optimal_score", 99, "maxblocks: computed score 3, oracle 99"),
+    ("oracle_segmentation_score", -1, "minmaxlen: traceback achieves -1, table says 2"),
+    ("oracle_efg_semi_repeat_free", False, "maxblocks: induced graph fails the graph-level check"),
+])
+def test_validate_reports_each_oracle_mismatch(tmp_path, capsys, monkeypatch, name, value, report):
+    path = write(tmp_path, "e.fa", E_FASTA)
+    monkeypatch.setattr(cli.oracle, name, lambda *args: value)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert report in err.splitlines()
+
+
+def test_validate_warns_above_50000_cells(tmp_path, capsys, monkeypatch, caplog):
+    checked = []
+    monkeypatch.setattr(cli, "cross_check", lambda msa: checked.append(msa) or [])
+    small = write(tmp_path, "small.fa", ">r1\n" + "A" * 50_000 + "\n")
+    large = write(tmp_path, "large.fa", ">r1\n" + "A" * 50_001 + "\n")
+    with caplog.at_level(logging.WARNING, logger="efgseg"):
+        assert run(capsys, "validate", small)[0] == 0
+        assert "quadratic" not in caplog.text
+        code, out, _ = run(capsys, "validate", large)
+    assert code == 0
+    assert out == "ok: 1x50001 alignment passes all oracle cross-checks\n"
+    assert "oracle cross-checks are quadratic" in caplog.text
+    assert [msa.n for msa in checked] == [50_000, 50_001]
+
+
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_closed_pipe_exits_0_without_stderr(tmp_path):
+    # `efgseg export ... | head -c 20`: the export is far larger than a pipe
+    # buffer, so the write blocks until the reader has closed its end
+    path = str(tmp_path / "big.fa")
+    assert cli.main(["gen", "--seed", "3", "--rows", "40", "--cols", "3000", "-o", path]) == 0
+    proc = subprocess.Popen([sys.executable, "-m", "efgseg", "export", path, "--format", "dot"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert head == b"digraph efg {\n  rank"
+    assert err == b""
+
+
+# The test above reaches the BrokenPipeError handler only where a write to
+# a closed pipe fails; this stdout fails every write the way such a write does.
+_CLOSED_STDOUT = """
+import io, sys
+from efgseg import cli
+
+class ClosedPipe(io.TextIOWrapper):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+sys.stdout = ClosedPipe(open(1, "wb", closefd=False))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_broken_pipe_error_exits_0_without_stderr(tmp_path):
+    path = write(tmp_path, "e.fa", E_FASTA)
+    proc = subprocess.run([sys.executable, "-c", _CLOSED_STDOUT, "export", path],
+                          capture_output=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == b""
+    assert proc.stderr == b""
 
 
 def test_unsegmentable_exit_code(tmp_path, capsys):

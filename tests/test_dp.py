@@ -20,6 +20,9 @@ from tests.conftest import near_identical_msa
 
 # The DP kernels as loops over numpy scalars: the statements of the list
 # kernels in efgseg.dp over int32 arrays, kept to check the list versions.
+# The minmaxlen loop keeps the leader side's best value S and its witness
+# with the per-bucket scores, as the kernel did before it kept one leader
+# index, so the kernel is checked against that formulation too.
 _INF32 = np.int32(INF)
 
 
@@ -288,6 +291,28 @@ def test_min_max_input_validation(msa_e):
         score_min_max_length((xs[::-1].copy(), fs[::-1].copy()), msa_e.n)
     with pytest.raises(ValueError, match="pairs"):
         score_min_max_length((xs[:2], fs[:2]), msa_e.n)
+
+
+@pytest.mark.parametrize("xs,fs", [
+    ([0, 3], [1, 2]),  # x past n - 1
+    ([0, -1], [1, 2]),  # negative x
+    ([0, 1], [0, 2]),  # f below 1
+    ([0, 1], [1, 4]),  # f past n + 1
+])
+def test_min_max_rejects_pair_values_out_of_range(xs, fs):
+    with pytest.raises(ValueError, match="out of range"):
+        score_min_max_length((np.array(xs, np.int64), np.array(fs, np.int64)), 2)
+
+
+def test_traceback_rejects_a_tampered_witness(msa_e):
+    run = run_pipeline(msa_e, MINMAXLEN)
+    assert traceback(run.table, run.ext).blocks == [(1, 1), (2, 3), (4, 4)]
+    for witness in (4, -1, 2):  # not before column 4, negative, f(2) = 5 > 4
+        pred = run.table.pred.copy()
+        pred[4] = witness
+        tampered = D.ScoreTable(MINMAXLEN, run.table.s, pred, run.table.op_count)
+        with pytest.raises(AssertionError, match=f"invalid traceback witness {witness} at column 4"):
+            traceback(tampered, run.ext)
 
 
 def test_work_counters_linear():

@@ -42,6 +42,11 @@ def parse_gfa(text: str):
     return nodes, edges, paths
 
 
+def efg_paths(efg):
+    """(row name, node ids) per row, from ``Efg.row_steps``."""
+    return list(zip(efg.names, efg.row_steps([v for ids in efg.ids for v in ids])))
+
+
 def seg_of(blocks, scheme="minmaxlen"):
     return Segmentation(blocks=blocks, score=max(e - s + 1 for s, e in blocks), scheme=scheme)
 
@@ -51,7 +56,7 @@ def test_fixture_e_graph(msa_e):
     labels = [[nd.label for nd in block] for block in efg.blocks]
     assert labels == [["A"], ["G"], ["C"]]
     assert efg.edges == [("b1_0", "b2_0"), ("b2_0", "b3_0")]
-    assert efg.paths == [("r1", ["b1_0", "b2_0", "b3_0"]), ("r2", ["b1_0", "b2_0", "b3_0"])]
+    assert efg_paths(efg) == [("r1", ["b1_0", "b2_0", "b3_0"]), ("r2", ["b1_0", "b2_0", "b3_0"])]
     node = efg.blocks[1][0]
     assert node.id == "b2_0" and node.rows == (1, 2)
 
@@ -103,7 +108,7 @@ def test_every_row_spelled_by_its_path():
         seg = run.segmentation()
         efg = build_efg(msa, seg)
         nodes = {nd.id: nd for block in efg.blocks for nd in block}
-        for name, ids in efg.paths:
+        for name, ids in efg_paths(efg):
             i = msa.names.index(name) + 1
             assert "".join(nodes[v].label for v in ids) == spell(msa, i, 1, msa.n)
 
@@ -129,7 +134,7 @@ def test_gfa_roundtrip(msa_e):
     nodes, edges, paths = parse_gfa(export_gfa(efg))
     assert nodes == {nd.id: nd.label for block in efg.blocks for nd in block}
     assert edges == set(efg.edges)
-    assert paths == {name.split()[0]: ids for name, ids in efg.paths}
+    assert paths == {name.split()[0]: ids for name, ids in efg_paths(efg)}
 
 
 def test_gfa_path_name_uses_first_header_token():
@@ -261,7 +266,7 @@ def assert_graph_matches_reference(msa, blocks):
     efg = build_efg(msa, seg)
     assert efg.blocks == want.blocks
     assert efg.edges == want.edges
-    assert efg.paths == want.paths
+    assert efg_paths(efg) == want.paths
     assert efg.intervals == want.intervals
     assert export_gfa(efg) == reference_export_gfa(want)
     assert export_dot(efg) == reference_export_dot(want)
@@ -435,7 +440,8 @@ def graphs(draw):
 @settings(deadline=None)
 @given(graphs())
 def test_export_json_matches_json_dumps(efg):
-    assert export_json(efg) == reference_export_json(efg)
+    want = ReferenceGraph(efg.blocks, efg.edges, efg_paths(efg), efg.intervals)
+    assert export_json(efg) == reference_export_json(want)
 
 
 @settings(deadline=None)
@@ -447,7 +453,7 @@ def test_blocks_and_paths_follow_columns(efg):
         ]
         for nd in efg.blocks[k - 1]:
             assert nd.rows == tuple(i for i, r in enumerate(col, start=1) if r == nd.rank)
-    assert efg.paths == [
+    assert efg_paths(efg) == [
         (name, [ids[col[i]] for ids, col in zip(efg.ids, efg.ranks.tolist())])
         for i, name in enumerate(efg.names)
     ]
@@ -478,7 +484,7 @@ def test_gfa_roundtrip_property(data):
         nodes, edges, paths = parse_gfa(export_gfa(efg))
         assert nodes == {nd.id: nd.label for block in efg.blocks for nd in block}
         assert edges == set(efg.edges)
-        assert paths == {name.split()[0]: ids for name, ids in efg.paths}
+        assert paths == {name.split()[0]: ids for name, ids in efg_paths(efg)}
         for t, r in zip(tokens, rows):
             assert "".join(nodes[v] for v in paths[t]) == r.replace("-", "")
 
@@ -577,7 +583,7 @@ def test_writers_match_loop_reference_on_small_graphs(labels, ranks, names):
               intervals=[(k, k) for k in range(1, len(labels) + 1)])
     want = as_list_efg(efg)
     assert_writers_match_loop_reference(efg, want)
-    assert efg.paths == [(name, list(steps)) for name, steps in zip(names, want.row_steps(ids))]
+    assert efg_paths(efg) == [(name, list(steps)) for name, steps in zip(names, want.row_steps(ids))]
     assert [[nd.rows for nd in block] for block in efg.blocks] == [
         [tuple(rows) for rows in block] for block in want.node_rows(range(1, len(names) + 1))
     ]

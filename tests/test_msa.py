@@ -226,6 +226,11 @@ def test_names_rows_length_mismatch():
         Msa(rows=("AC", "AC"), names=("only-one",))
 
 
+def test_alignment_without_rows_is_rejected():
+    with pytest.raises(MsaError, match="^alignment has no rows$"):
+        Msa(rows=(), names=())
+
+
 def test_roundtrip_identity():
     text = ">r1\nAG-C\n>r2\nA-GC\n"
     assert to_fasta(parse_aligned_fasta(text)) == text

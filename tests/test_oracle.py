@@ -38,6 +38,19 @@ def test_optimal_score_examples(msa_e, msa_aaa):
     assert O.oracle_optimal_score(msa_aaa, O.MAXBLOCKS) == 1
     with pytest.raises(ValueError):
         O.oracle_optimal_score(msa_e, "bogus")
+    # no segment of this alignment is valid, so the DP never scores one
+    unsegmentable = Msa.from_rows(["A-B-", "AABB"])
+    assert O.oracle_optimal_score(unsegmentable, O.MINMAXLEN) is None
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        O.oracle_optimal_score(unsegmentable, "bogus")
+
+
+def test_segmentation_score_rejects_unknown_scheme():
+    blocks = [(1, 2), (3, 3)]
+    assert O.oracle_segmentation_score(blocks, O.MAXBLOCKS) == 2
+    assert O.oracle_segmentation_score(blocks, O.MINMAXLEN) == 2
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        O.oracle_segmentation_score(blocks, "bogus")
 
 
 def test_exclusive_ancestors_examples(msa_e):

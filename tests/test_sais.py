@@ -5,6 +5,7 @@ import pytest
 
 import efgseg as E
 from efgseg import oracle as O
+from efgseg import sais
 from efgseg.sais import (
     _CHUNK,
     _doubling,
@@ -61,6 +62,26 @@ def test_known_strings():
 
 def test_empty():
     assert suffix_array(np.empty(0, np.int64), 2).tolist() == []
+
+
+def test_one_symbol_text():
+    for dtype in (np.int32, np.int64, np.uint8):
+        sa, lcp, isa = enhanced_suffix_array(np.array([3], dtype), 4)
+        assert sa.tolist() == lcp.tolist() == isa.tolist() == [0]
+
+
+def test_codes_must_be_integers():
+    # truncating 1.9, 1.2, 2.5 to 1, 1, 2 would sort another text
+    for data in (np.array([1.9, 1.2, 2.5]), np.array([True, True])):
+        with pytest.raises(ValueError, match="must be integers"):
+            enhanced_suffix_array(data, 3)
+
+
+def test_codes_length_limit(monkeypatch):
+    monkeypatch.setattr(sais, "RANK_LIMIT", 4)
+    enhanced_suffix_array(np.array([1, 2, 1]), 3)
+    with pytest.raises(ValueError, match="length 4 does not fit int32 ranks"):
+        enhanced_suffix_array(np.array([1, 2, 1, 2]), 3)
 
 
 def large_code_text(rng, n):
