@@ -11,29 +11,45 @@ prefixes first, so packed prefixes compare like the prefixes themselves.
 
 It is Manber-Myers prefix doubling (Manber & Myers 1993): one ``np.argsort``
 of the packed prefixes orders every suffix by its first k = h symbols, and
-each further round doubles k by sorting one int64 key, rank * (n + 1) +
-rank[i + k]. As in Larsson & Sadakane (2007), a rank is 1 + the first slot
-of the suffix's group of equal k-prefixes, and a round sorts only the
-suffixes still tied with a neighbour. Each round is O(U log U) for U tied
-suffixes, over O(log(L / h)) rounds, L the longest repeat. The tied
-suffixes are taken in slot order, so a round's keys arrive grouped by their
-head rank, already sorted between groups; a stable sort (numpy's timsort)
-merges such runs cheaply. The first sort keeps the default kind, because
-the packed prefixes arrive in text order, and there the stable sort is
-slower.
+each further round doubles k. As in Larsson & Sadakane (2007), a rank is 1 +
+the first slot of the suffix's group of equal k-prefixes, so ranks lie in
+[0..N], and a round sorts only the suffixes still tied with a neighbour.
+Each round is O(U log U) for U tied suffixes, over O(log(L / h)) rounds, L
+the longest repeat. Only the final ranks are kept; the inverse comes free
+from them, as at the end every suffix is alone in its group and isa =
+rank - 1.
 
-After each round's grouping, two suffixes have equal ranks iff their
-k-prefixes are equal: a tied suffix holds its group's head and a suffix
-alone in its group holds its own final slot + 1. So the ranks of a round
-that leaves ties are the LCP lifting level for its length k = 2h, 4h, ...;
-the doubling keeps a copy of each, and the packed prefixes are the level
-for k = h. Lifting a pair of suffixes walks the levels from the top down,
-which finds the longest common prefix whose length is a multiple of h, then
-reads the last fewer-than-h common symbols off the pair's packed prefixes.
-The packed prefixes are freed after the first sort and packed again for the
-lift, so they do not stay alive through the rounds.
+A round sorts one int64 word per tied suffix in place (``ndarray.sort``).
+From the top it packs the head of the suffix's tie group, the rank of the k
+symbols that follow the suffix, and the suffix's index among the tied
+suffixes; the sorted words are decoded with shifts and masks, and the
+suffixes come back through the index. The tied suffixes are taken in slot
+order, so the groups arrive sorted between themselves, and the index makes
+every word distinct: the sort orders them as a stable sort of (group, rank)
+would, and the suffix array comes out the same whichever sort runs. The
+words live in the int64 array of the packed prefixes, which the first sort
+no longer needs, so no round page-faults in a fresh one.
 
-Only the irreducible pairs are lifted. Slot r is irreducible when the
+The word layout follows from N, on one path. The rank takes r = bits(N)
+bits of the 63 below the sign bit. Each round cuts its tied suffixes into
+ranges of whole groups and sorts each range alone: a range of several
+groups spans fewer than 2^B slots, B = (63 - r) // 2, so its head relative
+to the range's first head and its index each fit B bits; a group that spans
+more slots is a range of its own, whose head takes no bit and whose index
+takes at most r bits, and 2r <= 62 for every N < 2^31. So below N = 2^21 a
+round is one range. Every range checks its bit count, and one that does
+not fit raises ValueError.
+
+The LCP of a pair of distinct suffixes comes from comparing their packed
+prefixes directly, h symbols per word; the first word that differs gives
+the last fewer-than-h common symbols. A chunk of pairs is compared together:
+the pairs still equal have all matched the same number of symbols, each
+step compares the next w words of each of them, w doubling from 1 while the
+step stays within ``_CHUNK`` words, and drops the pairs that differ. So
+once few pairs are left, a pair with an LCP of L takes O(log(L / h)) steps.
+The packed prefixes are packed again for the lift.
+
+Only the irreducible pairs are compared. Slot r is irreducible when the
 suffixes at slots r-1 and r are preceded by different symbols (the
 Burrows-Wheeler transform changes between them), and the slot of suffix 0
 and the slot after it count as irreducible. At every other slot the permuted
@@ -41,14 +57,9 @@ LCP array, PLCP[i] = the LCP of suffix i and its predecessor in the suffix
 array, satisfies PLCP[i] = PLCP[i-1] - 1 (Kärkkäinen, Manzini & Puglisi,
 "Permuted Longest-Common-Prefix Array", CPM 2009). So PLCP is filled in text
 order from the irreducible positions by one running maximum of PLCP[i] + i,
-which never decreases and never exceeds n, so it stays int32. The levels and
-the packed prefixes are freed before the fill. The lift is then O(N) plus
-O(r log(L / h)) for r irreducible pairs; near-identical rows leave few of
-them. When the doubling left no level (no repeat of 2h symbols), each lifted
-pair is one compare of packed prefixes.
-
-The inverse comes free: at the end every suffix is alone in its group, so
-isa = rank - 1.
+which never decreases and never exceeds n, so it stays int32. The LCPs of
+the irreducible pairs sum to O(N log N) (same paper), so the compares cost
+O(N log N / h) words in all; near-identical rows leave few such pairs.
 
 ``suffix_array`` is the first array of ``enhanced_suffix_array``.
 ``lcp_array(data, sa)`` runs the whole construction again and raises
@@ -65,6 +76,10 @@ RANK_LIMIT = 1 << 31
 
 # Elements gathered at once; bounds the temporaries of the LCP lift.
 _CHUNK = 1 << 14
+
+# Bits of the int64 word that each round of the doubling sorts per tied
+# suffix; 63 keeps the words non-negative.
+_WORD_BITS = 63
 
 
 def _packed_prefixes(data: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -94,14 +109,33 @@ def _codes(data, alphabet_size: int) -> np.ndarray:
     return data
 
 
-def _doubling(data: np.ndarray, levels: list) -> tuple[np.ndarray, np.ndarray]:
-    """(sa, rank) of a non-empty text, with rank[p] = 1 + the slot of suffix
-    p in sa and rank[n] = 0 for the empty suffix.
+def _batches(slots: np.ndarray, heads: np.ndarray, cap: int):
+    """Consecutive [s, e) ranges of the tied suffixes at ascending ``slots``,
+    ``heads`` the (non-decreasing) head of each one's tie group: a range
+    holds whole groups spanning fewer than ``cap`` slots, or one group."""
+    u = len(slots)
+    if slots[-1] - slots[0] < cap:
+        yield 0, u
+        return
+    starts = np.flatnonzero(heads[1:] != heads[:-1])
+    starts += 1
+    starts = np.concatenate(([0], starts, [u]))  # every group start, and u
+    s = 0
+    while s < u:
+        # the last group start whose groups before it span fewer than cap
+        # slots from s, or else the end of s's own group
+        end = np.searchsorted(slots, int(slots[s]) + cap)
+        e = int(starts[np.searchsorted(starts, end, side="right") - 1])
+        if e == s:
+            e = int(starts[np.searchsorted(starts, s, side="right")])
+        yield s, e
+        s = e
 
-    Appends to ``levels`` a copy of the ranks after each round that leaves
-    ties, from the second round on: equal ranks in the j-th copy (j = 1, 2,
-    ...) mean equal first h * 2^j symbols.
-    """
+
+def _doubling(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(sa, rank, tied) of a non-empty text, with rank[p] = 1 + the slot of
+    suffix p in sa, rank[n] = 0 for the empty suffix, and tied[j] the number
+    of suffixes still tied after round j (round 0 is the first sort)."""
     n = len(data)
     packed, h, _ = _packed_prefixes(data)
     k = h
@@ -110,19 +144,26 @@ def _doubling(data: np.ndarray, levels: list) -> tuple[np.ndarray, np.ndarray]:
     # second int64 array: one large temporary fewer to page-fault in
     key = packed[:n]
     key.sort()
-    del packed
+    first = np.empty(n, np.bool_)  # first[i]: the suffix at slots[i] starts a group
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    # the same int64 array then holds every round's heads and sort words, so
+    # that the rounds do not page-fault in a fresh one each
+    buf = key
+    del key, packed
     # rank[p] = 1 + the first slot of sa whose suffix shares suffix p's first
     # k symbols, so a rank never exceeds n (Larsson & Sadakane 2007)
     rank = np.zeros(n + 1, np.int32)
+    rank_bits = n.bit_length()
+    # a range of several groups spans fewer than cap slots, so its relative
+    # heads and its indices take at most half of the bits the ranks leave
+    cap = 1 << max(0, (_WORD_BITS - rank_bits) // 2)
     slots = np.arange(n, dtype=np.int32)  # ascending slots of sa not yet final
     pos = sa  # the suffixes at those slots
+    tied_counts = []
     while True:
-        # key[i] sorts suffix pos[i]; equal neighbours are tied
-        first = np.empty(len(key), np.bool_)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        del key
-        head = np.where(first, slots, 0)
+        head = buf[: len(slots)]
+        np.multiply(first, slots, out=head)
         np.maximum.accumulate(head, out=head)
         head += 1
         rank[pos] = head
@@ -131,64 +172,128 @@ def _doubling(data: np.ndarray, levels: list) -> tuple[np.ndarray, np.ndarray]:
         tied[-1] = first[-1]
         np.logical_not(tied, out=tied)
         slots = slots[tied]
+        tied_counts.append(len(slots))
         if len(slots) == 0:
-            return sa, rank
+            return sa, rank, tied_counts
         pos = pos[tied]
-        key = head[tied].astype(np.int64)
-        del first, head, tied
-        if k > h:
-            levels.append(rank.copy())
-        # ties break on the rank of the k symbols that follow; a suffix that
-        # ends within k symbols differs there from all others, so pos + k <= n
-        key *= n + 1
-        key += rank[pos + k]
-        order = np.argsort(key, kind="stable")
-        pos = pos[order]
-        sa[slots] = pos
-        key = key[order]
-        del order
+        first = first[tied]
+        del tied
+        word = buf[: len(slots)]  # the first slot of each tied suffix's group
+        np.multiply(first, slots, out=word)
+        np.maximum.accumulate(word, out=word)
+        for s, e in _batches(slots, word, cap):
+            # ties break on the rank of the k symbols that follow; a suffix
+            # that ends within k symbols differs there from all others, so
+            # pos + k <= n. One int64 word per suffix packs (head relative to
+            # the range, that rank, index in the range), so one sort orders
+            # the range as a stable sort of (head, rank) would.
+            p = pos[s:e]
+            w = word[s:e]
+            w -= w[0]
+            head_bits = int(w[-1]).bit_length()
+            index_bits = (e - s - 1).bit_length()
+            if head_bits + rank_bits + index_bits > _WORD_BITS:
+                raise ValueError(
+                    f"{e - s} tied suffixes over {int(w[-1]) + 1} slots do not fit "
+                    f"a {_WORD_BITS}-bit sort word with {rank_bits}-bit ranks"
+                )
+            w <<= rank_bits
+            w |= rank[p + k]
+            w <<= index_bits
+            w |= np.arange(e - s, dtype=np.int32)
+            w.sort()
+            order = np.empty(e - s, np.int32)
+            np.bitwise_and(w, (1 << index_bits) - 1, out=order, casting="unsafe")
+            p[:] = p[order]
+            del order
+            sa[slots[s:e]] = p
+            # a suffix starts a group when its (head, rank) differs from its
+            # predecessor's; a range starts with a group already
+            w >>= index_bits
+            np.not_equal(w[1:], w[:-1], out=first[s + 1 : e])
+        del head, word, w, p
         k *= 2
 
 
 def _leading_common(diff: np.ndarray, h: int, b: int) -> np.ndarray:
     """Leading symbols two packed prefixes share, from their nonzero xor."""
     # the highest set bit is the float exponent, one less where rounding carried
-    top = (diff.astype(np.float64).view(np.int64) >> 52) - 1023
+    top = diff.astype(np.float64).view(np.int64)
+    top >>= 52
+    top -= 1023
     top -= (diff >> top) == 0
-    return h - 1 - top // b
+    top //= b
+    np.subtract(h - 1, top, out=top)
+    return top
 
 
-def _lift_pairs(
-    data: np.ndarray, left: np.ndarray, right: np.ndarray, levels: list[np.ndarray]
-) -> np.ndarray:
+def _lift_pairs(data: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """LCP of the suffixes left[t] and right[t], two distinct suffixes of
-    data, from the doubling's levels, with the packed prefixes as the level
-    below them."""
+    data, by comparing their packed prefixes h symbols per word.
+
+    The pairs of a chunk that are still equal have all matched the same d
+    symbols, so each step compares the next w words of every such pair and
+    drops the pairs that differ. w doubles from 1 each step, as far as keeps
+    a step within ``_CHUNK`` words.
+    """
     packed, h, b = _packed_prefixes(data)
-    levels = [packed, *levels]  # equal at level j: equal first h * 2^j symbols
+    n = len(data)
     lcp = np.empty(len(left), np.int32)
     for lo in range(0, len(left), _CHUNK):
-        hi = min(len(left), lo + _CHUNK)
-        a = left[lo:hi].copy()
-        c = right[lo:hi].copy()
-        for j in range(len(levels) - 1, -1, -1):
-            # equal prefixes are never cut short by the end of the text,
-            # because distinct suffixes have distinct lengths
-            lv = levels[j]
-            step = (lv[a] == lv[c]) * (h << j)
-            a += step
-            c += step
-        # the next h symbols differ
-        lcp[lo:hi] = c - right[lo:hi] + _leading_common(packed[a] ^ packed[c], h, b)
+        a = left[lo : lo + _CHUNK]
+        c = right[lo : lo + _CHUNK]
+        at = np.arange(lo, lo + len(a))  # where each LCP goes
+        d = 0
+        w = 1
+        while len(at):
+            w = min(w, max(1, _CHUNK // len(at)))
+            offsets = np.arange(d, d + w * h, h)
+            # equal words are never cut short by the end of the text, because
+            # distinct suffixes have distinct lengths; so a pair's index
+            # passes n only past its first word that differs
+            index = np.add.outer(a, offsets)
+            if w > 1:
+                np.minimum(index, n, out=index)
+            diff = packed[index]
+            np.add.outer(c, offsets, out=index)
+            if w > 1:
+                np.minimum(index, n, out=index)
+            diff ^= packed[index]
+            del index
+            diff = diff.ravel()
+            nz = np.flatnonzero(diff)
+            row = nz
+            if w > 1:
+                # row-major, so each pair's first nonzero word comes first
+                row = nz // w
+                first = np.empty(len(nz), np.bool_)
+                first[:1] = True
+                np.not_equal(row[1:], row[:-1], out=first[1:])
+                nz = nz[first]
+                row = row[first]
+                del first
+            lc = _leading_common(diff[nz], h, b)
+            del diff
+            if w > 1:
+                nz -= row * w  # the word within the step
+                nz *= h
+                lc += nz
+            lc += d
+            lcp[at[row]] = lc
+            more = np.ones(len(at), np.bool_)
+            more[row] = False
+            del nz, row, lc
+            a = a[more]
+            c = c[more]
+            at = at[more]
+            d += w * h
+            w *= 2
     return lcp
 
 
-def _lift(
-    data: np.ndarray, sa: np.ndarray, rank: np.ndarray, levels: list[np.ndarray]
-) -> np.ndarray:
-    """LCP array of sa from the doubling's final ``rank`` and its levels:
-    lcp[r] = LCP of the suffixes at slots r-1 and r, lcp[0] = 0. Empties
-    ``levels``.
+def _lift(data: np.ndarray, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """LCP array of sa from the doubling's final ``rank``: lcp[r] = LCP of
+    the suffixes at slots r-1 and r, lcp[0] = 0.
 
     Only the irreducible slots r are lifted: those whose suffixes are
     preceded by different symbols, plus the slot of suffix 0 and the slot
@@ -199,7 +304,7 @@ def _lift(
     predecessor in sa. PLCP[i] + i then equals its value at the last
     irreducible position j <= i, and as it never decreases, one running
     maximum over text order fills it in. It never exceeds n, so int32 holds
-    it. With no level, each lifted pair is one compare of packed prefixes.
+    it.
     """
     n = len(sa)
     bwt = data[sa - 1]
@@ -212,8 +317,11 @@ def _lift(
     slots = np.flatnonzero(irreducible)
     del irreducible
     right = sa[slots]
-    plcp_end = _lift_pairs(data, sa[slots - 1], right, levels)
-    levels.clear()  # free the levels before the fill allocates
+    slots -= 1
+    left = sa[slots]
+    del slots
+    plcp_end = _lift_pairs(data, left, right)
+    del left
     plcp_end += right
     plcp = np.zeros(n, np.int32)
     plcp[right] = plcp_end
@@ -232,9 +340,8 @@ def enhanced_suffix_array(
     n = len(data)
     if n == 0:
         return np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int32)
-    levels: list[np.ndarray] = []
-    sa, rank = _doubling(data, levels)
-    lcp = _lift(data, sa, rank, levels)
+    sa, rank, _ = _doubling(data)
+    lcp = _lift(data, sa, rank)
     isa = rank[:n]
     isa -= 1
     return sa, lcp, isa

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ REPETITIVE = [unit * reps for unit in ("a", "ab", "aab") for reps in (2, 3, 5, 8
 ROUNDING = ["a" + "c" * 30 + "b"]
 # Suffix 0 has no preceding symbol, so the LCP lift always takes its slot
 # and the slot after it. Here suffix 0 sorts last, then first, and each text
-# repeats enough symbols to leave levels for that lift to walk.
+# repeats enough symbols for that pair to take several compare steps.
 SUFFIX_ZERO = ["z" + "a" * 40, "a" * 40 + "z"]
 
 
@@ -224,16 +225,12 @@ def test_enhanced_suffix_array_matches_reference():
 
 
 def test_reference_texts_take_both_lifts():
-    # the one lift path must hold both on a text with no repeat of 2h
-    # symbols, where the doubling leaves no level, and on long repeats,
-    # which leave several
-    n_levels = []
-    for _, data in reference_texts():
-        levels = []
-        _doubling(data, levels)
-        n_levels.append(len(levels))
-    assert min(n_levels) == 0
-    assert max(n_levels) >= 3
+    # the lift must hold both on a text whose first sort leaves no tie, so
+    # that every pair differs within its first packed word, and on long
+    # repeats, which take several rounds and several compare steps
+    rounds = [len(_doubling(data)[2]) for _, data in reference_texts()]
+    assert min(rounds) == 1
+    assert max(rounds) >= 5
 
 
 def repetitive_text(rng):
@@ -258,15 +255,88 @@ def test_repetitive_texts_match_reference():
     filled = 0
     for seed in range(300):
         data = repetitive_text(random.Random(seed + 1300))
-        levels = []
-        _doubling(data, levels)
-        filled += bool(levels)
+        # ties after the second round: some pair shares 2h symbols
+        filled += len(_doubling(data)[2]) >= 3
         sa, lcp, isa = enhanced_suffix_array(data, int(data.max()) + 1)
         assert sa.tolist() == naive_sa(data), seed
         want_lcp, want_isa = reference_lcp_array(data, sa)
         assert np.array_equal(lcp, want_lcp), (seed, data.tolist())
         assert np.array_equal(isa, want_isa), seed
-    assert filled >= 100  # most texts leave levels for the lift to walk
+    assert filled >= 100  # most texts take a lift of several compare steps
+
+
+def batch_texts():
+    yield "ab" * 300
+    yield "aab" * 200
+    yield "a" * 400
+    for m in (4, 12):
+        msa = near_identical_msa(45 + m, m, 60, snp_rate=0, gap_rate=0)
+        yield E.build_gst(msa).text
+
+
+def test_rounds_split_into_batches_match_reference(monkeypatch):
+    # A narrow sort word leaves room for few slots per range, so each round
+    # sorts several ranges: runs of small groups, and large groups alone.
+    ranges = []
+    wide = []
+    batches = sais._batches
+
+    def recorded(slots, heads, cap):
+        got = list(batches(slots, heads, cap))
+        ends = [e for _, e in got]
+        assert [s for s, _ in got] == [0] + ends[:-1] and ends[-1] == len(slots)
+        for s, e in got:
+            assert s == 0 or heads[s] != heads[s - 1]  # whole groups only
+            assert slots[e - 1] - slots[s] < cap or heads[s] == heads[e - 1]
+            wide.append(e - s > cap)
+        ranges.append(got)
+        return got
+
+    monkeypatch.setattr(sais, "_batches", recorded)
+    monkeypatch.setattr(sais, "_WORD_BITS", 24)
+    for data in batch_texts():
+        if isinstance(data, str):
+            data = encode(data)
+        sa, lcp, isa = enhanced_suffix_array(data, int(data.max()) + 1)
+        assert sa.tolist() == naive_sa(data)
+        want_lcp, want_isa = reference_lcp_array(data, sa)
+        assert np.array_equal(lcp, want_lcp)
+        assert np.array_equal(isa, want_isa)
+    assert max(len(got) for got in ranges) >= 4
+    assert any(wide)  # one group alone past cap
+
+
+def test_sort_word_budget_is_checked(monkeypatch):
+    # the first round ties the 8 suffixes of "a" * 70 that hold 63 symbols:
+    # 7 rank bits, 3 index bits and no head bits, as one group alone
+    data = encode("a" * 70)
+    monkeypatch.setattr(sais, "_WORD_BITS", 9)
+    with pytest.raises(ValueError, match="do not fit a 9-bit sort word"):
+        enhanced_suffix_array(data, 2)
+    monkeypatch.setattr(sais, "_WORD_BITS", 10)
+    assert enhanced_suffix_array(data, 2)[0].tolist() == naive_sa(data)
+
+
+def test_peak_memory_per_character():
+    # The doubling keeps no copy of the ranks per round and the lift reads
+    # no stored level, so the traced peak stays flat on long repeats, which
+    # take the most rounds. The text itself is allocated before tracing.
+    texts = {
+        "8 identical rows": E.build_gst(near_identical_msa(51, 8, 6250, 0, 0)).text,
+        "ab repeated": encode("ab" * 25_000),
+        "16 near-identical rows": E.build_gst(
+            near_identical_msa(52, 16, 3200, snp_rate=0.005, gap_rate=0.01)
+        ).text,
+    }
+    for name, data in texts.items():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            enhanced_suffix_array(data, int(data.max()) + 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 41 * len(data), (name, peak / len(data))
 
 
 def test_lcp_array_rejects_wrong_input():
