@@ -1,7 +1,8 @@
 """Command-line front end: FASTA in, extensions / segmentation / graph out.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 oracle cross-check mismatch,
-3 unsegmentable input. Set EFGSEG_LOG=DEBUG|INFO|... for diagnostics.
+3 unsegmentable input. EFGSEG_LOG sets the logging level (default WARNING);
+the one record so far is validate's warning above 50,000 cells.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import oracle
 from .dp import MAXBLOCKS, MINMAXLEN, Segmentation, UnsegmentableError, score, traceback
 from .efg import build_efg, export_dot, export_gfa, export_json
 from .extensions import ExtensionTable
-from .msa import Msa, MsaError, check_size_limits, parse_aligned_fasta, to_fasta
+from .msa import Msa, check_size_limits, parse_aligned_fasta, to_fasta
 from .pipeline import run_pipeline
 
 log = logging.getLogger("efgseg")
@@ -26,6 +27,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_UNSEGMENTABLE = 3
+
+
+class _Mismatch(Exception):
+    """The oracles' report; not a ValueError, so that main exits 2, not 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,7 +143,7 @@ def cross_check(msa: Msa, ext: ExtensionTable | None = None) -> list[str]:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> str:
     # generate_msa resamples all-gap rows, so it needs a column that can hold
     # a symbol: a gap threshold below 1000 per mille and at least one column
     if args.rows < 1 or args.cols < 1:
@@ -153,19 +158,16 @@ def _cmd_gen(args) -> int:
     spec = oracle.RandomMsaSpec(
         seed=args.seed, m=args.rows, n=args.cols, sigma=args.sigma, gap_prob=args.gap_prob
     )
-    _write_output(args.output, to_fasta(oracle.generate_msa(spec)))
-    return EXIT_OK
+    return to_fasta(oracle.generate_msa(spec))
 
 
-def _cmd_extensions(args) -> int:
+def _cmd_extensions(args) -> str:
     msa = _load_msa(args.input)
     ext = run_pipeline(msa).ext
-    lines = "".join(f"{x}\t{int(ext.f[x])}\n" for x in range(msa.n))
-    _write_output(args.output, lines)
-    return EXIT_OK
+    return "".join(f"{x}\t{int(ext.f[x])}\n" for x in range(msa.n))
 
 
-def _cmd_segment(args) -> int:
+def _cmd_segment(args) -> str:
     msa = _load_msa(args.input)
     seg = run_pipeline(msa, args.score).segmentation()
     text = segmentation_to_json(seg)
@@ -175,36 +177,30 @@ def _cmd_segment(args) -> int:
         # sort_keys=True) layout of the whole document, without a round trip
         graph = export_json(build_efg(msa, seg)).rstrip("\n").replace("\n", "\n  ")
         text = text.replace('\n  "scheme": ', f'\n  "graph": {graph},\n  "scheme": ', 1)
-    _write_output(args.output, text)
-    return EXIT_OK
+    return text
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> str:
     msa = _load_msa(args.input)
     if args.segmentation:
         seg = segmentation_from_json(_read_input(args.segmentation))
     else:
         seg = run_pipeline(msa, args.score).segmentation()
     efg = build_efg(msa, seg)
-    text = {"gfa": export_gfa, "dot": export_dot, "json": export_json}[args.format](efg)
-    _write_output(args.output, text)
-    return EXIT_OK
+    return {"gfa": export_gfa, "dot": export_dot, "json": export_json}[args.format](efg)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> str:
     msa = _load_msa(args.input)
     if msa.m * msa.n > 50_000:
         log.warning("oracle cross-checks are quadratic; this may take a while")
     issues = cross_check(msa)
     if issues:
-        for line in issues:
-            print(line, file=sys.stderr)
-        return EXIT_MISMATCH
-    print(f"ok: {msa.m}x{msa.n} alignment passes all oracle cross-checks")
-    return EXIT_OK
+        raise _Mismatch("\n".join(issues))
+    return f"ok: {msa.m}x{msa.n} alignment passes all oracle cross-checks\n"
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> str:
     msa = _load_msa(args.input)
     seg = run_pipeline(msa, args.score).segmentation()
     efg = build_efg(msa, seg)
@@ -218,8 +214,7 @@ def _cmd_stats(args) -> int:
         "nodes": efg.n_nodes,
         "edges": len(efg.edges),
     }
-    _write_output(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @functools.cache
@@ -280,7 +275,10 @@ def main(argv=None) -> int:
     log.setLevel(level.upper())
     args = _make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write_output(args.output, args.func(args))
+    except _Mismatch as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_MISMATCH
     except UnsegmentableError as exc:
         print(f"efgseg: {exc}", file=sys.stderr)
         return EXIT_UNSEGMENTABLE
@@ -288,9 +286,10 @@ def main(argv=None) -> int:
         # downstream consumer (e.g. `| head`) closed the pipe; not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (MsaError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"efgseg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -376,11 +376,33 @@ def test_cross_check_builds_one_segment_checker(monkeypatch):
 ])
 def test_validate_reports_each_oracle_mismatch(tmp_path, capsys, monkeypatch, name, value, report):
     path = write(tmp_path, "e.fa", E_FASTA)
+    out_path = tmp_path / "report.txt"
     monkeypatch.setattr(cli.oracle, name, lambda *args: value)
-    code, out, err = run(capsys, "validate", path)
+    code, out, err = run(capsys, "validate", path, "-o", str(out_path))
     assert code == 2
     assert out == ""
     assert report in err.splitlines()
+    assert not out_path.exists()
+
+
+def test_validate_writes_output_file(tmp_path, capsys):
+    path = write(tmp_path, "e.fa", E_FASTA)
+    out_path = tmp_path / "report.txt"
+    code, out, err = run(capsys, "validate", path, "-o", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text() == "ok: 2x4 alignment passes all oracle cross-checks\n"
+
+
+def test_key_error_in_a_subcommand_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    # no input reaches a KeyError, so one is a bug and keeps its traceback
+    path = write(tmp_path, "e.fa", E_FASTA)
+
+    def broken(msa, seg):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "build_efg", broken)
+    with pytest.raises(KeyError, match="bug"):
+        cli.main(["export", path])
 
 
 def test_validate_warns_above_50000_cells(tmp_path, capsys, monkeypatch, caplog):

@@ -274,9 +274,10 @@ def batch_texts():
         yield E.build_gst(msa).text
 
 
-def test_rounds_split_into_batches_match_reference(monkeypatch):
-    # A narrow sort word leaves room for few slots per range, so each round
-    # sorts several ranges: runs of small groups, and large groups alone.
+def record_batches(monkeypatch):
+    """Lists filled as the doubling runs: each round's [s, e) ranges, checked
+    to cover the round with whole groups, and for each range whether it
+    holds more than cap suffixes."""
     ranges = []
     wide = []
     batches = sais._batches
@@ -293,6 +294,13 @@ def test_rounds_split_into_batches_match_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(sais, "_batches", recorded)
+    return ranges, wide
+
+
+def test_rounds_split_into_batches_match_reference(monkeypatch):
+    # A narrow sort word leaves room for few slots per range, so each round
+    # sorts several ranges: runs of small groups, and large groups alone.
+    ranges, wide = record_batches(monkeypatch)
     monkeypatch.setattr(sais, "_WORD_BITS", 24)
     for data in batch_texts():
         if isinstance(data, str):
@@ -304,6 +312,35 @@ def test_rounds_split_into_batches_match_reference(monkeypatch):
         assert np.array_equal(isa, want_isa)
     assert max(len(got) for got in ranges) >= 4
     assert any(wide)  # one group alone past cap
+
+
+def test_rounds_split_into_batches_at_full_word_width(monkeypatch):
+    # 1024 copies of one 2048-symbol row, row c ended by terminator code
+    # c + 1 as in a Gst: N = 2,098,176 > 2^21 needs 22-bit ranks, so the
+    # default 63-bit word caps a range at 2^20 slots and every round sorts
+    # several ranges. The arrays follow from the single row.
+    copies, width = 1024, 2048
+    row = np.random.default_rng(61).integers(copies + 1, copies + 5, width)
+    data = np.empty((copies, width + 1), np.int64)
+    data[:, :width] = row
+    data[:, width] = np.arange(1, copies + 1)
+    data = data.ravel()
+    ranges, _ = record_batches(monkeypatch)
+    sa, lcp, isa = enhanced_suffix_array(data, copies + 5)
+    assert len(ranges) >= 2 and min(len(got) for got in ranges) >= 2
+    # the terminators first, in row order; then each suffix of the row, in
+    # the row's own order with a shorter prefix first, once per copy
+    starts = np.arange(copies) * (width + 1)
+    order = np.array(sorted(range(width), key=lambda p: row[p:].tolist()))
+    want_sa = np.concatenate((starts + width, (order[:, None] + starts).ravel()))
+    assert np.array_equal(sa, want_sa)
+    # copies of suffix p share its width - p symbols; adjacent offsets share
+    # the row's own LCP; a terminator shares nothing
+    want_lcp = np.zeros((width + 1, copies), np.int64)
+    want_lcp[1:, 1:] = width - order[:, None]
+    want_lcp[2:, 0] = [naive_lcp_pair(row, p, q) for p, q in zip(order, order[1:])]
+    assert np.array_equal(lcp, want_lcp.ravel())
+    assert np.array_equal(isa[sa], np.arange(len(data)))
 
 
 def test_sort_word_budget_is_checked(monkeypatch):
