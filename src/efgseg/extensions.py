@@ -47,10 +47,11 @@ def _segmented_min(values: np.ndarray, run: np.ndarray, big: int, reverse: bool)
 class ExtensionTable:
     """f(x) for x in [0..n-1]; value n+1 means no extension ends by column n.
 
-    ``op_count`` counts the elements the sweep touches: per column, m
-    elements for each of the ceil(log2 m) passes of the leaf sort (at least
-    one), and m each for the run split, the prefix-minimum scan and the
-    suffix-minimum scan. That is n * m * (max(1, ceil(log2 m)) + 3).
+    ``op_count`` is the sweep's element-touch model of the shape (m, n), not
+    a count taken from the cells: per column, m elements for each of the
+    ceil(log2 m) passes of the leaf sort (at least one), and m each for the
+    run split, the prefix-minimum scan and the suffix-minimum scan. That is
+    n * m * (max(1, ceil(log2 m)) + 3) for every alignment of that shape.
     """
 
     f: np.ndarray
@@ -77,11 +78,10 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
         raise MsaError("gap index / suffix tree were built from a different alignment")
     m, n = msa.m, msa.n
     lcp = np.append(gst.lcp, 0)  # lcp[N] = 0 closes a run that ends at the last leaf
-    big = int(lcp.max()) + 1
+    big = n + 1  # no LCP crosses a terminator, so none exceeds a row's n symbols
     sort_passes = max(1, (m - 1).bit_length())
     f = np.empty(n, np.int64)
     width = max(1, SWEEP_CHUNK_CELLS // m)
-    ops = 0
     for x0 in range(0, n, width):
         cols = np.arange(x0, min(n, x0 + width))
         # (columns, m): each column's m leaves, ascending
@@ -96,5 +96,4 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
         left = _segmented_min(lcp[flat], run, big, reverse=False)
         right = _segmented_min(lcp[flat + 1], run, big, reverse=True)
         f[cols] = gst.columns[gst.sa[flat] + np.maximum(left, right)].reshape(-1, m).max(axis=1)
-        ops += flat.size * (sort_passes + 3)
-    return ExtensionTable(f=f, op_count=ops)
+    return ExtensionTable(f=f, op_count=n * m * (sort_passes + 3))

@@ -30,15 +30,15 @@ would, and the suffix array comes out the same whichever sort runs. The
 words live in the int64 array of the packed prefixes, which the first sort
 no longer needs, so no round page-faults in a fresh one.
 
-The word layout follows from N, on one path. The rank takes r = bits(N)
-bits of the 63 below the sign bit. Each round cuts its tied suffixes into
-ranges of whole groups and sorts each range alone: a range of several
+The word layout follows from N, on one path, and fits by construction. The
+rank takes r = bits(N) bits of the 63 below the sign bit, and r <= 31 as
+``_codes`` rejects N >= ``RANK_LIMIT``. Each round cuts its tied suffixes
+into ranges of whole groups and sorts each range alone. A range of several
 groups spans fewer than 2^B slots, B = (63 - r) // 2, so its head relative
-to the range's first head and its index each fit B bits; a group that spans
-more slots is a range of its own, whose head takes no bit and whose index
-takes at most r bits, and 2r <= 62 for every N < 2^31. So below N = 2^21 a
-round is one range. Every range checks its bit count, and one that does
-not fit raises ValueError.
+to the range's first head and its index each fit B bits, and 2B + r <= 63.
+A group that spans more slots is a range of its own: its relative head is
+0 and takes no bit, and its index takes at most r bits, and 2r <= 62. So
+no range needs a check, and below N = 2^21 a round is one range.
 
 The LCP of a pair of distinct suffixes comes from comparing their packed
 prefixes directly, h symbols per word; the first word that differs gives
@@ -78,7 +78,8 @@ RANK_LIMIT = 1 << 31
 _CHUNK = 1 << 14
 
 # Bits of the int64 word that each round of the doubling sorts per tied
-# suffix; 63 keeps the words non-negative.
+# suffix; 63 keeps the words non-negative. Twice the rank bits of any N below
+# RANK_LIMIT fit it, so a group alone in its range always fits.
 _WORD_BITS = 63
 
 
@@ -157,7 +158,7 @@ def _doubling(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     rank_bits = n.bit_length()
     # a range of several groups spans fewer than cap slots, so its relative
     # heads and its indices take at most half of the bits the ranks leave
-    cap = 1 << max(0, (_WORD_BITS - rank_bits) // 2)
+    cap = 1 << ((_WORD_BITS - rank_bits) // 2)
     slots = np.arange(n, dtype=np.int32)  # ascending slots of sa not yet final
     pos = sa  # the suffixes at those slots
     tied_counts = []
@@ -190,13 +191,7 @@ def _doubling(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
             p = pos[s:e]
             w = word[s:e]
             w -= w[0]
-            head_bits = int(w[-1]).bit_length()
             index_bits = (e - s - 1).bit_length()
-            if head_bits + rank_bits + index_bits > _WORD_BITS:
-                raise ValueError(
-                    f"{e - s} tied suffixes over {int(w[-1]) + 1} slots do not fit "
-                    f"a {_WORD_BITS}-bit sort word with {rank_bits}-bit ranks"
-                )
             w <<= rank_bits
             w |= rank[p + k]
             w <<= index_bits

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -284,6 +285,17 @@ def test_work_counter_linear():
         )
         ext = run_pipeline(msa).ext
         assert ext.op_count <= 64 * msa.m * msa.n + 64
+
+
+def test_op_count_is_the_shape_model():
+    # the sweep's op count follows from (m, n) alone, gaps and repeats aside
+    for m in (1, 2, 3, 4, 5, 17):
+        for n in (1, 9, 40):
+            want = n * m * (max(1, math.ceil(math.log2(m))) + 3)
+            gapped = O.generate_msa(O.RandomMsaSpec(seed=m * 100 + n, m=m, n=n, gap_prob=0.5))
+            close = near_identical_msa(m * 100 + n, m, n, snp_rate=0.02, gap_rate=0.1)
+            for msa in (gapped, close):
+                assert run_pipeline(msa).ext.op_count == want, (m, n)
 
 
 def test_structure_mismatch_rejected(msa_e, msa_aaa):

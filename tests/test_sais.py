@@ -343,15 +343,11 @@ def test_rounds_split_into_batches_at_full_word_width(monkeypatch):
     assert np.array_equal(isa[sa], np.arange(len(data)))
 
 
-def test_sort_word_budget_is_checked(monkeypatch):
-    # the first round ties the 8 suffixes of "a" * 70 that hold 63 symbols:
-    # 7 rank bits, 3 index bits and no head bits, as one group alone
-    data = encode("a" * 70)
-    monkeypatch.setattr(sais, "_WORD_BITS", 9)
-    with pytest.raises(ValueError, match="do not fit a 9-bit sort word"):
-        enhanced_suffix_array(data, 2)
-    monkeypatch.setattr(sais, "_WORD_BITS", 10)
-    assert enhanced_suffix_array(data, 2)[0].tolist() == naive_sa(data)
+def test_sort_word_fits_every_rank_limit():
+    # The doubling sorts its ranges unchecked. A range of several groups
+    # fits by the choice of cap; a group alone takes r rank bits, at most r
+    # index bits and no head bits, so it fits for every N that _codes accepts.
+    assert 2 * (sais.RANK_LIMIT - 1).bit_length() <= sais._WORD_BITS
 
 
 def test_peak_memory_per_character():
