@@ -4,7 +4,7 @@ At column x, row i's gaps-removed suffix that starts just past the boundary
 is a leaf of the generalized suffix tree: ``isa[row_starts[i] + rank2d[i, x]]``.
 The m leaves of a column split into runs of consecutive leaf ranks. For leaf
 q in run [lb..rb], the exclusive ancestor that covers q hangs below a node of
-string depth D = max(min lcp[lb..q], min lcp[q+1..rb+1]) (lcp[N] = 0), so
+string depth D = max(min lcp[lb..q], min lcp[q+1..rb+1]), so
 the row's segment must spell D + 1 symbols to be unique, and its extension
 ends at column ``columns[sa[q] + D]``. No LCP crosses a terminator, as each
 is distinct, so sa[q] + D reaches the row's terminator (column n + 1, no
@@ -14,8 +14,10 @@ exclusive-ancestor query of the paper answered on the enhanced suffix array
 
 The sweep runs over chunks of columns with whole-array numpy: one sort per
 column, then segmented prefix and suffix minima over all runs of the chunk
-at once. Chunks hold at most about ``SWEEP_CHUNK_CELLS`` cells, so the
-temporaries stay bounded whatever the alignment size.
+at once. It reads the LCP array in place; a run that ends at the last leaf,
+rb = N - 1, reads lcp[N] as a wrap to lcp[0] = 0, which closes it. Chunks
+hold at most about ``SWEEP_CHUNK_CELLS`` cells, so the temporaries stay
+bounded whatever the alignment size.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
     if gi.msa != msa or gst.msa != msa:
         raise MsaError("gap index / suffix tree were built from a different alignment")
     m, n = msa.m, msa.n
-    lcp = np.append(gst.lcp, 0)  # lcp[N] = 0 closes a run that ends at the last leaf
     big = n + 1  # no LCP crosses a terminator, so none exceeds a row's n symbols
     sort_passes = max(1, (m - 1).bit_length())
     f = np.empty(n, np.int64)
@@ -89,11 +90,11 @@ def compute_minimal_right_extensions(msa: Msa, gi: GapIndex, gst: Gst) -> Extens
         leaves.sort(axis=1)
         flat = leaves.ravel()
         new_run = np.empty(flat.size, np.bool_)
-        new_run[0] = True
         np.not_equal(flat[1:], flat[:-1] + 1, out=new_run[1:])
-        new_run[::m] = True  # runs never span two columns
+        new_run[::m] = True  # each column starts a run, so none spans two
         run = np.cumsum(new_run)
-        left = _segmented_min(lcp[flat], run, big, reverse=False)
-        right = _segmented_min(lcp[flat + 1], run, big, reverse=True)
+        left = _segmented_min(gst.lcp[flat], run, big, reverse=False)
+        # index N wraps to lcp[0] = 0, which closes a run at the last leaf
+        right = _segmented_min(gst.lcp.take(flat + 1, mode="wrap"), run, big, reverse=True)
         f[cols] = gst.columns[gst.sa[flat] + np.maximum(left, right)].reshape(-1, m).max(axis=1)
     return ExtensionTable(f=f, op_count=n * m * (sort_passes + 3))

@@ -47,7 +47,9 @@ the pairs still equal have all matched the same number of symbols, each
 step compares the next w words of each of them, w doubling from 1 while the
 step stays within ``_CHUNK`` words, and drops the pairs that differ. So
 once few pairs are left, a pair with an LCP of L takes O(log(L / h)) steps.
-The packed prefixes are packed again for the lift.
+Only the words past a pair's first differing one can lie past the text, and
+a read there is clipped to packed[n] = 0. The packed prefixes are packed
+again for the lift.
 
 Only the irreducible pairs are compared. Slot r is irreducible when the
 suffixes at slots r-1 and r are preceded by different symbols (the
@@ -232,7 +234,6 @@ def _lift_pairs(data: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nda
     a step within ``_CHUNK`` words.
     """
     packed, h, b = _packed_prefixes(data)
-    n = len(data)
     lcp = np.empty(len(left), np.int32)
     for lo in range(0, len(left), _CHUNK):
         a = left[lo : lo + _CHUNK]
@@ -245,19 +246,17 @@ def _lift_pairs(data: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nda
             offsets = np.arange(d, d + w * h, h)
             # equal words are never cut short by the end of the text, because
             # distinct suffixes have distinct lengths; so a pair's index
-            # passes n only past its first word that differs
+            # passes n only past its first word that differs, and a clipped
+            # read there gives packed[n] = 0
             index = np.add.outer(a, offsets)
-            if w > 1:
-                np.minimum(index, n, out=index)
-            diff = packed[index]
+            diff = packed.take(index, mode="clip")
             np.add.outer(c, offsets, out=index)
-            if w > 1:
-                np.minimum(index, n, out=index)
-            diff ^= packed[index]
+            diff ^= packed.take(index, mode="clip")
             del index
             diff = diff.ravel()
             nz = np.flatnonzero(diff)
             row = nz
+            start = d  # the first symbol of each pair's first differing word
             if w > 1:
                 # row-major, so each pair's first nonzero word comes first
                 row = nz // w
@@ -267,17 +266,14 @@ def _lift_pairs(data: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nda
                 nz = nz[first]
                 row = row[first]
                 del first
+                start = (nz - row * w) * h + d
             lc = _leading_common(diff[nz], h, b)
             del diff
-            if w > 1:
-                nz -= row * w  # the word within the step
-                nz *= h
-                lc += nz
-            lc += d
+            lc += start
             lcp[at[row]] = lc
             more = np.ones(len(at), np.bool_)
             more[row] = False
-            del nz, row, lc
+            del nz, row, lc, start
             a = a[more]
             c = c[more]
             at = at[more]

@@ -429,14 +429,14 @@ def test_closed_pipe_exits_0_without_stderr(tmp_path):
     # export writes anything, so every write to stdout fails with EPIPE
     path = tmp_path / "big.fa"
     assert cli.main(["gen", "--seed", "3", "--rows", "40", "--cols", "3000", "-o", str(path)]) == 0
-    proc = subprocess.Popen([sys.executable, "-m", "efgseg", "export", "-", "--format", "dot"],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=_child_env())
-    proc.stdout.close()
-    proc.stdin.write(path.read_bytes())
-    proc.stdin.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    with subprocess.Popen([sys.executable, "-m", "efgseg", "export", "-", "--format", "dot"],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_child_env()) as proc:
+        proc.stdout.close()
+        proc.stdin.write(path.read_bytes())
+        proc.stdin.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert err == b""
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,25 @@ def test_work_counter_linear():
         )
         ext = run_pipeline(msa).ext
         assert ext.op_count <= 64 * msa.m * msa.n + 64
+
+
+def test_sweep_temporaries_do_not_grow_with_the_text():
+    # The sweep reads the LCP array in place and works one chunk of columns
+    # at a time, so beyond f it allocates a bounded amount per chunk cell,
+    # whatever N: about 58 bytes on both of these shapes.
+    for shape in ((5, 8, 40000, 0.002, 0.001), (3, 16, 4000, 0.5, 0.2)):
+        msa = near_identical_msa(*shape)
+        gi = E.GapIndex(msa)
+        gst = E.build_gst(msa)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ext = X.compute_minimal_right_extensions(msa, gi, gst)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        per_cell = (peak - ext.f.nbytes) / X.SWEEP_CHUNK_CELLS
+        assert per_cell <= 96, (shape, len(gst.text), per_cell)
 
 
 def test_op_count_is_the_shape_model():
