@@ -167,8 +167,10 @@ class GapIndex:
     """
 
     def __init__(self, msa: Msa):
-        nongap = msa.cells != ord(GAP)
-        check_size_limits(msa.n, int(np.count_nonzero(nongap)) + msa.m)
+        check_size_limits(msa.n, int(np.count_nonzero(msa.cells != ord(GAP))) + msa.m)
         self.msa = msa
-        self.rank2d = np.zeros((msa.m, msa.n + 1), dtype=np.int32)
-        np.cumsum(nongap, axis=1, out=self.rank2d[:, 1:])
+        # the flags first, then one cumsum along the contiguous rows: a
+        # cumsum into the strided view rank2d[:, 1:] buffers an (m, n) copy
+        self.rank2d = rank2d = np.zeros((msa.m, msa.n + 1), dtype=np.int32)
+        np.not_equal(msa.cells, ord(GAP), out=rank2d[:, 1:], casting="unsafe")
+        np.cumsum(rank2d, axis=1, out=rank2d)

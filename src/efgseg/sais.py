@@ -15,9 +15,9 @@ each further round doubles k. As in Larsson & Sadakane (2007), a rank is 1 +
 the first slot of the suffix's group of equal k-prefixes, so ranks lie in
 [0..N], and a round sorts only the suffixes still tied with a neighbour.
 Each round is O(U log U) for U tied suffixes, over O(log(L / h)) rounds, L
-the longest repeat. Only the final ranks are kept; the inverse comes free
-from them, as at the end every suffix is alone in its group and isa =
-rank - 1.
+the longest repeat. The rounds keep no suffix array, only the ranks: at the
+end every suffix is alone in its group, so isa = rank - 1, and the suffix
+array is built once from it.
 
 A round sorts one int64 word per tied suffix in place (``ndarray.sort``).
 From the top it packs the head of the suffix's tie group, the rank of the k
@@ -29,6 +29,12 @@ every word distinct: the sort orders them as a stable sort of (group, rank)
 would, and the suffix array comes out the same whichever sort runs. The
 words live in the int64 array of the packed prefixes, which the first sort
 no longer needs, so no round page-faults in a fresh one.
+
+No round allocates a temporary as long as its tied suffixes. The rank
+gathers and the index writes go ``_CHUNK`` words at a time; each sorted word
+is overwritten by the suffix its index names, and the suffixes are read
+back from the words; the suffixes that became final are dropped by moving
+the rest to the front of the same arrays, one chunk at a time.
 
 The word layout follows from N, on one path, and fits by construction. The
 rank takes r = bits(N) bits of the 63 below the sign bit, and r <= 31 as
@@ -76,7 +82,8 @@ import numpy as np
 # N must stay below 2^31.
 RANK_LIMIT = 1 << 31
 
-# Elements gathered at once; bounds the temporaries of the LCP lift.
+# Elements gathered at once; bounds the temporaries of the doubling's rounds
+# and of the LCP lift.
 _CHUNK = 1 << 14
 
 # Bits of the int64 word that each round of the doubling sorts per tied
@@ -112,38 +119,102 @@ def _codes(data, alphabet_size: int) -> np.ndarray:
     return data
 
 
-def _batches(slots: np.ndarray, heads: np.ndarray, cap: int):
+def _batches(slots: np.ndarray, heads: np.ndarray, cap: int) -> list[tuple[int, int]]:
     """Consecutive [s, e) ranges of the tied suffixes at ascending ``slots``,
     ``heads`` the (non-decreasing) head of each one's tie group: a range
-    holds whole groups spanning fewer than ``cap`` slots, or one group."""
+    holds whole groups spanning fewer than ``cap`` slots, or one group.
+    Binary searches find each end, so no temporary is allocated."""
     u = len(slots)
-    if slots[-1] - slots[0] < cap:
-        yield 0, u
-        return
-    starts = np.flatnonzero(heads[1:] != heads[:-1])
-    starts += 1
-    starts = np.concatenate(([0], starts, [u]))  # every group start, and u
+    ranges = []
     s = 0
     while s < u:
-        # the last group start whose groups before it span fewer than cap
-        # slots from s, or else the end of s's own group
-        end = np.searchsorted(slots, int(slots[s]) + cap)
-        e = int(starts[np.searchsorted(starts, end, side="right") - 1])
+        # the start of the group that holds the first slot cap or more past
+        # s's, or else the end of s's own group. The slot searched for is an
+        # int32 like slots, or the search would convert all of them; capped
+        # at the last slot + 1, it fits.
+        past = np.int32(min(int(slots[s]) + cap, int(slots[-1]) + 1))
+        end = int(np.searchsorted(slots, past))
+        e = u if end == u else int(np.searchsorted(heads, heads[end]))
         if e == s:
-            e = int(starts[np.searchsorted(starts, s, side="right")])
-        yield s, e
+            e = int(np.searchsorted(heads, heads[s], side="right"))
+        ranges.append((s, e))
         s = e
+    return ranges
+
+
+def _keep_tied(first: np.ndarray, slots: np.ndarray, pos: np.ndarray) -> int:
+    """Moves the suffixes still tied with a neighbour to the front of
+    ``first``, ``slots`` and ``pos``, in their order, and returns their
+    count. A suffix is final when it starts a group and so does the next
+    one, or when it starts the last group alone.
+
+    One chunk at a time, so no temporary outgrows ``_CHUNK``. A chunk reads
+    its entries and the next chunk's first flag before it writes, and never
+    writes past its own end, so no entry is overwritten before it is read.
+    """
+    u = len(first)
+    kept = 0
+    for lo in range(0, u, _CHUNK):
+        hi = min(lo + _CHUNK, u)
+        f = first[lo : hi + 1]
+        tied = ~f[: hi - lo]  # a suffix that starts no group is tied
+        tied[: len(f) - 1] |= ~f[1:]  # and so is one whose group goes on
+        end = kept + int(np.count_nonzero(tied))
+        slots[kept:end] = slots[lo:hi][tied]
+        pos[kept:end] = pos[lo:hi][tied]
+        first[kept:end] = f[: hi - lo][tied]
+        kept = end
+    return kept
+
+
+def _sort_range(word: np.ndarray, pos: np.ndarray, first: np.ndarray, rank: np.ndarray, k: int):
+    """Sorts the tied suffixes ``pos``, whole groups with heads ``word``, by
+    the rank of the k symbols that follow each one, and marks in ``first``
+    the suffixes that now start a group; the first one starts one already.
+
+    One int64 word per suffix packs (head relative to the range, that rank,
+    index in the range), so one in-place sort orders the range as a stable
+    sort of (head, rank) would. A suffix that ends within k symbols differs
+    there from all others, so pos + k <= n. Every temporary is a chunk: the
+    sorted words are overwritten by the suffixes their indices name, and
+    ``pos`` is refilled from them.
+    """
+    u = len(pos)
+    rank_bits = (len(rank) - 1).bit_length()
+    index_bits = (u - 1).bit_length()
+    word -= word[0]
+    word <<= rank_bits + index_bits
+    for lo in range(0, u, _CHUNK):
+        hi = min(lo + _CHUNK, u)
+        word[lo:hi] |= np.left_shift(rank[pos[lo:hi] + k], index_bits, dtype=np.int64)
+        word[lo:hi] |= np.arange(lo, hi)
+    word.sort()
+    mask = (1 << index_bits) - 1
+    for lo in range(0, u, _CHUNK):
+        hi = min(lo + _CHUNK, u)
+        # two words differ in (head, rank) when their xor exceeds the index
+        # bits; the word after the chunk is not overwritten yet
+        after = word[lo + 1 : hi + 1]
+        np.greater(after ^ word[lo : lo + len(after)], mask, out=first[lo + 1 : hi + 1])
+        word[lo:hi] = pos[word[lo:hi] & mask]
+    pos[:] = word
 
 
 def _doubling(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """(sa, rank, tied) of a non-empty text, with rank[p] = 1 + the slot of
     suffix p in sa, rank[n] = 0 for the empty suffix, and tied[j] the number
-    of suffixes still tied after round j (round 0 is the first sort)."""
+    of suffixes still tied after round j (round 0 is the first sort).
+
+    The rounds hold ``rank``, the tied suffixes' slots, positions and
+    group-start flags, and one int64 word per tied suffix, and allocate no
+    temporary the size of the tied set. No round keeps ``sa``: it is built
+    once, from the final ranks.
+    """
     n = len(data)
     packed, h, _ = _packed_prefixes(data)
     k = h
-    sa = np.argsort(packed[:n]).astype(np.int32)
-    # the keys in sa order, sorted in place rather than gathered into a
+    pos = np.argsort(packed[:n]).astype(np.int32)  # the suffixes at slots
+    # the keys in slot order, sorted in place rather than gathered into a
     # second int64 array: one large temporary fewer to page-fault in
     key = packed[:n]
     key.sort()
@@ -154,62 +225,35 @@ def _doubling(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     # that the rounds do not page-fault in a fresh one each
     buf = key
     del key, packed
-    # rank[p] = 1 + the first slot of sa whose suffix shares suffix p's first
-    # k symbols, so a rank never exceeds n (Larsson & Sadakane 2007)
+    # rank[p] = 1 + the first slot whose suffix shares suffix p's first k
+    # symbols, so a rank never exceeds n (Larsson & Sadakane 2007)
     rank = np.zeros(n + 1, np.int32)
-    rank_bits = n.bit_length()
     # a range of several groups spans fewer than cap slots, so its relative
     # heads and its indices take at most half of the bits the ranks leave
-    cap = 1 << ((_WORD_BITS - rank_bits) // 2)
-    slots = np.arange(n, dtype=np.int32)  # ascending slots of sa not yet final
-    pos = sa  # the suffixes at those slots
+    cap = 1 << ((_WORD_BITS - n.bit_length()) // 2)
+    slots = np.arange(n, dtype=np.int32)  # ascending slots not yet final
     tied_counts = []
     while True:
-        head = buf[: len(slots)]
-        np.multiply(first, slots, out=head)
-        np.maximum.accumulate(head, out=head)
-        head += 1
-        rank[pos] = head
-        tied = np.empty_like(first)  # a suffix alone in its group is final
-        np.logical_and(first[:-1], first[1:], out=tied[:-1])
-        tied[-1] = first[-1]
-        np.logical_not(tied, out=tied)
-        slots = slots[tied]
-        tied_counts.append(len(slots))
-        if len(slots) == 0:
-            return sa, rank, tied_counts
-        pos = pos[tied]
-        first = first[tied]
-        del tied
-        word = buf[: len(slots)]  # the first slot of each tied suffix's group
+        word = buf[: len(slots)]  # 1 + the first slot of each suffix's group
+        np.multiply(first, slots, out=word)
+        np.maximum.accumulate(word, out=word)
+        word += 1
+        rank[pos] = word
+        u = _keep_tied(first, slots, pos)
+        tied_counts.append(u)
+        if u == 0:
+            break
+        slots, pos, first = slots[:u], pos[:u], first[:u]
+        word = buf[:u]
         np.multiply(first, slots, out=word)
         np.maximum.accumulate(word, out=word)
         for s, e in _batches(slots, word, cap):
-            # ties break on the rank of the k symbols that follow; a suffix
-            # that ends within k symbols differs there from all others, so
-            # pos + k <= n. One int64 word per suffix packs (head relative to
-            # the range, that rank, index in the range), so one sort orders
-            # the range as a stable sort of (head, rank) would.
-            p = pos[s:e]
-            w = word[s:e]
-            w -= w[0]
-            index_bits = (e - s - 1).bit_length()
-            w <<= rank_bits
-            w |= rank[p + k]
-            w <<= index_bits
-            w |= np.arange(e - s, dtype=np.int32)
-            w.sort()
-            order = np.empty(e - s, np.int32)
-            np.bitwise_and(w, (1 << index_bits) - 1, out=order, casting="unsafe")
-            p[:] = p[order]
-            del order
-            sa[slots[s:e]] = p
-            # a suffix starts a group when its (head, rank) differs from its
-            # predecessor's; a range starts with a group already
-            w >>= index_bits
-            np.not_equal(w[1:], w[:-1], out=first[s + 1 : e])
-        del head, word, w, p
+            _sort_range(word[s:e], pos[s:e], first[s:e], rank, k)
         k *= 2
+    del buf, word, slots, pos, first  # so that sa is built beside rank alone
+    sa = np.empty(n, np.int32)
+    sa[rank[:n] - 1] = np.arange(n, dtype=np.int32)
+    return sa, rank, tied_counts
 
 
 def _leading_common(diff: np.ndarray, h: int, b: int) -> np.ndarray:

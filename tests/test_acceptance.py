@@ -268,15 +268,21 @@ def test_c7_linear_scaling():
         f" dp us [{', '.join(f'{t * 1e6:.1f}' for t in dp_samples[n])}]"
         for n in sizes
     )
+    ratios = []
     for a, b in zip(sizes, sizes[1:]):
         pre_ratio = ratio(pre_samples, a, b)
         dp_ratio = ratio(dp_samples, a, b)
         assert pre_ratio <= 2.5, f"preprocessing {a}->{b}: x{pre_ratio:.2f} ({samples})"
         assert dp_ratio <= 2.5, f"dp {a}->{b}: x{dp_ratio:.2f} ({samples})"
+        ratios.append(f"{a}->{b}: pre x{pre_ratio:.2f} / dp x{dp_ratio:.2f}")
     summary = ", ".join(
         f"n={n}: pre {pre_times[n] * 1e3:.1f} ms / dp {dp_times[n] * 1e6:.0f} us" for n in sizes
     )
-    print(f"\nACCEPTANCE C7 PASS: per-doubling wall-time ratios <= 2.5 ({summary})")
+    # the margins to the bound show in every passing run, not only on failure
+    print(
+        f"\nACCEPTANCE C7 PASS: per-doubling wall-time ratios <= 2.5"
+        f" ({'; '.join(ratios)}) ({summary})"
+    )
 
 
 def test_c8_export_stability():
